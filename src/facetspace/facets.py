@@ -55,7 +55,7 @@ class Field:
         self.actor = actor
         self.owner = owner
         self._value = initial
-        self.dependents = set()
+        self.dependents = {}  # AssertEndpoints in first-read order: replay must not depend on addresses
 
     def __call__(self, *args):
         if not self.owner.alive:
@@ -64,7 +64,7 @@ class Field:
             ep = self.actor._evaluating
             if ep is not None:
                 ep.read_fields.add(self)
-                self.dependents.add(ep)
+                self.dependents[ep] = True
             return self._value
         (new,) = args
         self._value = new
@@ -85,7 +85,7 @@ class AssertEndpoint:
     def evaluate(self):
         actor = self.facet.actor
         for f in self.read_fields:
-            f.dependents.discard(self)
+            f.dependents.pop(self, None)
         self.read_fields = set()
         prev = actor._evaluating
         actor._evaluating = self

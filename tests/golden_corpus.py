@@ -17,6 +17,7 @@ import sys
 from io import StringIO
 from pathlib import Path
 
+from conftest import republish_boot
 from facetspace import Dataspace, cap, lit, rec, rpat
 from facetspace.expansions import check_form
 from facetspace.market import bank_account_boot, default_config, parse_script, run_scenario
@@ -133,6 +134,19 @@ def ledger_run(seed: int) -> str:
     return sink.getvalue()
 
 
+def republish_run() -> str:
+    """Twelve computed assertions on one field, republished three times."""
+    sink = StringIO()
+    ds = Dataspace(trace_sink=sink)
+    ds.spawn(republish_boot)
+    ds.spawn(lambda f: f.on_asserted(rpat("cell", cap("i"), cap("x")), lambda hf, b: None))
+    ds.run_until_quiescent()
+    for _ in range(3):
+        ds.inject_message(rec("bump"))
+        ds.run_until_quiescent()
+    return sink.getvalue()
+
+
 def form_run(form: str) -> str:
     return "".join(got + want for _i, got, want in check_form(form))
 
@@ -145,6 +159,7 @@ def corpus() -> dict:
     for seed in range(1, 5):
         entries["extended-3x3-seed%d" % seed] = lambda s=seed: extended_run(s)
     entries["ledger-4accounts"] = lambda: ledger_run(1)
+    entries["republish-12"] = republish_run
     for form in ("during", "state-machine"):
         entries["expand-check-%s" % form] = lambda f=form: form_run(f)
     return entries

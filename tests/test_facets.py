@@ -1,7 +1,8 @@
 import pytest
 
-from conftest import drive_cmd, named_puppet_boot, spawn_recorder
+from conftest import drive_cmd, named_puppet_boot, republish_boot, spawn_recorder
 from facetspace import Dataspace, cap, lit, rec, rpat, sym
+from facetspace.dataspace import Assert
 from facetspace.facets import DeadFieldAccess, OutsideFacetContext, render_tree
 from facetspace.market import bank_account_boot
 
@@ -73,6 +74,16 @@ def test_field_write_without_change_still_recomputes_but_no_patch():
     ds.inject_message(rec("touch"))
     quiesce(ds)
     assert r.events == [("+", rec("balance", 100))]
+
+
+def test_republish_follows_publish_order():
+    ds = Dataspace()
+    ds.spawn(republish_boot)
+    quiesce(ds)
+    ds.inject_message(rec("bump"))
+    (turn,) = ds.run_until_quiescent()
+    asserted = [a.v.fields[0].n for a in turn.actions if isinstance(a, Assert)]
+    assert asserted == list(range(12))
 
 
 def test_dead_field_access_raises():
