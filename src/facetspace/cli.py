@@ -23,7 +23,6 @@ def _cmd_run(args) -> int:
         open_ms=args.open_ms,
         closed_ms=args.closed_ms,
         wait_period=args.wait_period,
-        seed=args.seed,
     )
     with open(args.trace, "w") as sink:
         try:
@@ -59,7 +58,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--open-ms", type=int, default=1000)
     run_p.add_argument("--closed-ms", type=int, default=500)
     run_p.add_argument("--wait-period", type=int, default=100)
-    run_p.add_argument("--seed", type=int, default=0)
     run_p.set_defaults(fn=_cmd_run)
 
     ec_p = sub.add_parser("expand-check", help="derived-form equivalence checks")

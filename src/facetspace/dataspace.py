@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .values import (
@@ -66,9 +66,6 @@ class Quit:
 class Patch:
     added: tuple
     removed: tuple
-
-    def is_empty(self):
-        return not self.added and not self.removed
 
 
 @dataclass(frozen=True)
@@ -154,8 +151,7 @@ class Dataspace:
     object with a ``handle_event(event) -> list of actions`` method.
     """
 
-    def __init__(self, seed: int = 0, trace_sink=None):
-        self.seed = seed
+    def __init__(self, trace_sink=None):
         self.trace_sink = trace_sink  # file-like; gets one JSON line per turn
         self.bag: dict = {}  # Value -> {actor id -> count}
         self.actors: dict = {}  # actor id -> runtime or None once terminated
@@ -199,9 +195,6 @@ class Dataspace:
     def query(self, p: Pattern) -> list:
         """All present values matching p, in bag (insertion) order."""
         return [v for v, per in self.bag.items() if sum(per.values()) > 0 and match(p, v) is not None]
-
-    def total_count(self, v: Value) -> int:
-        return sum(self.bag.get(v, {}).values())
 
     def is_alive(self, aid: int) -> bool:
         return self.actors.get(aid) is not None

@@ -235,9 +235,6 @@ class Actor:
             raise OutsideFacetContext("no facet body is executing")
         return self._stack[-1]
 
-    def current_facet_id(self):
-        return self.current_facet().id
-
     def _emit(self, action):
         self.actions.append(action)
 

@@ -5,8 +5,10 @@ wallet fronting the bank for the broker, sellers advertising prices, brokers
 working orders through funding and purchase stages, scripted buyers, and
 small one-shot actors for deposits and order-result caching.
 
-The extended variant adds named sellers and brokers: brokers pick the
+The extended variant names its sellers and brokers: brokers pick the
 cheapest seller after a collection window, buyers pick the cheapest broker.
+Both variants run the same actors; they differ in the optional name field of
+the price, order, purchase-request and purchase-result records.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .dataspace import Dataspace
 from .drivers import Clock, advance_virtual_time, spawn_timer_driver
 from .forms import during, on_timeout, query_map, state_machine, stop_when
 from .values import (
-    Boolean,
     Decimal,
     Integer,
     Record,
@@ -49,6 +50,14 @@ def _num(v: Value):
     if isinstance(v, Decimal):
         return v.x
     raise TypeError("not a number: %r" % (v,))
+
+
+def _names(name) -> tuple:
+    """The optional name field of the price, order, purchase-request and
+    purchase-result records: empty in the simple scenario."""
+    if name is None:
+        return ()
+    return (sym(name) if isinstance(name, str) else name,)
 
 
 # ---------------------------------------------------------------------------
@@ -163,50 +172,26 @@ def deposit_back(f, acct: Value, amt):
 # ---------------------------------------------------------------------------
 # Seller
 
-def seller_boot(desired):
+def seller_boot(desired, name=None):
+    """Anonymous seller when name is None; named (extended) seller otherwise."""
+    who = _names(name)
+
     def boot(f):
         def open_body(tf, _b):
-            tf.publish(rec("price", desired))
+            tf.publish(rec("price", *who, desired))
 
             def respond(cf, b):
-                cf.publish(rec("purchase-result", b["id"], _num(b["offered"]) >= desired))
+                cf.publish(rec("purchase-result", b["id"], *who, _num(b["offered"]) >= desired))
 
-            during(tf, rpat("purchase-request", cap("id"), cap("count"), cap("offered")), respond)
+            during(tf, rpat("purchase-request", cap("id"), *who, cap("count"), cap("offered")), respond)
 
         during(f, rpat("trading-day-open"), open_body)
 
     return boot
 
 
-def named_seller_boot(name, desired):
-    name = sym(name) if isinstance(name, str) else name
-
-    def boot(f):
-        def open_body(tf, _b):
-            tf.publish(rec("price", name, desired))
-
-            def respond(cf, b):
-                cf.publish(
-                    rec("purchase-result", b["id"], name, _num(b["offered"]) >= desired)
-                )
-
-            during(
-                tf,
-                rpat("purchase-request", cap("id"), lit(name), cap("count"), cap("offered")),
-                respond,
-            )
-
-        during(f, rpat("trading-day-open"), open_body)
-
-    return boot
-
-
-def spawn_seller(ds, desired) -> int:
-    return ds.spawn(seller_boot(desired))
-
-
-def spawn_named_seller(ds, name, desired) -> int:
-    return ds.spawn(named_seller_boot(name, desired))
+def spawn_seller(ds, desired, name=None) -> int:
+    return ds.spawn(seller_boot(desired, name))
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +217,6 @@ def result_cache_boot(the_order: Value, answer: Symbol):
         f.on_retracted(meta, on_disinterest)
 
     return boot
-
-
-def spawn_result_cache(ds, the_order: Value, answer: Symbol) -> int:
-    return ds.spawn(result_cache_boot(the_order, answer))
 
 
 # ---------------------------------------------------------------------------
@@ -302,40 +283,29 @@ def _make_stop_with(order_facet, the_order: Value):
 
 
 def broker_boot(name=None, fee=0, wait_period: int = 100):
-    """Simple broker when name is None; named (extended) broker otherwise."""
-    extended = name is not None
-    broker_name = sym(name) if isinstance(name, str) else name
+    """Simple broker when name is None: takes the first price it sees.
+    Named (extended) broker otherwise: advertises its fee and buys from the
+    cheapest seller after a ``wait_period`` collection window."""
+    who = _names(name)
 
     def boot(f):
         def open_body(tf, _b):
-            if extended:
-                tf.publish(rec("broker-fee", broker_name, fee))
-                order_pat = rpat(
-                    "order", lit(broker_name), cap("id"), cap("acct"), cap("n"), cap("maxp")
-                )
-            else:
-                order_pat = rpat("order", cap("id"), cap("acct"), cap("n"), cap("maxp"))
+            if who:
+                tf.publish(rec("broker-fee", *who, fee))
 
             def on_order(hf, b):
-                if extended:
-                    the_order = rec("order", broker_name, b["id"], b["acct"], b["n"], b["maxp"])
-                else:
-                    the_order = rec("order", b["id"], b["acct"], b["n"], b["maxp"])
+                the_order = rec("order", *who, b["id"], b["acct"], b["n"], b["maxp"])
+                hf.react(lambda of: _work_on_one_order(of, the_order, b, bool(who), fee, wait_period))
 
-                def order_body(of):
-                    stop_with = _make_stop_with(of, the_order)
-                    _work_on_one_order(of, the_order, b, stop_with, extended, fee, wait_period)
-
-                hf.react(order_body)
-
-            tf.on_asserted(order_pat, on_order)
+            tf.on_asserted(rpat("order", *who, cap("id"), cap("acct"), cap("n"), cap("maxp")), on_order)
 
         during(f, rpat("trading-day-open"), open_body)
 
     return boot
 
 
-def _work_on_one_order(of, the_order, b, stop_with, extended, fee, wait_period):
+def _work_on_one_order(of, the_order, b, named, fee, wait_period):
+    stop_with = _make_stop_with(of, the_order)
     acct = b["acct"]
     n = b["n"].n
     maxp = _num(b["maxp"])
@@ -354,20 +324,19 @@ def _work_on_one_order(of, the_order, b, stop_with, extended, fee, wait_period):
         sf.on_retracted(lit(the_order), lambda hf, _b: stop_with(CANCELED))
 
     def funded_state(sf):
-        if extended:
-            _finish_funded_extended(sf, the_order, acct, n, maxp, potential, fee, wait_period, stop_with)
-        else:
-            _finish_funded(sf, the_order, acct, n, maxp, potential, stop_with)
+        _finish_funded(sf, the_order, acct, n, maxp, potential, stop_with, named, fee, wait_period)
 
     goto = state_machine(of, "acquire-funds", [("request", request_state), ("funded", funded_state)])
 
 
-def _finish_funded(sf, the_order, acct, n, maxp, held, stop_with):
-    def request_price(pf):
+def _finish_funded(sf, the_order, acct, n, maxp, held, stop_with, named, fee, wait_period):
+    # In both request stages the price endpoints come before the cancel
+    # endpoint: a price and a cancel delivered in one patch resolve to the
+    # purchase (criterion 5).
+    def take_first_price(pf):
         def on_price(hf, b):
-            actual = _num(b["actual"])
-            if actual <= maxp:
-                goto("purchase", b["actual"])
+            if _num(b["actual"]) <= maxp:
+                goto("purchase", None, b["actual"])
             else:
                 stop_with(NO_PRICE_MATCH)
 
@@ -376,25 +345,7 @@ def _finish_funded(sf, the_order, acct, n, maxp, held, stop_with):
         # it sees the canceled order-result.
         pf.on_retracted(lit(the_order), lambda hf, _b: stop_with(CANCELED))
 
-    def complete_purchase(pf, actual_v):
-        actual = _num(actual_v)
-        pf.publish(rec("purchase-request", the_order, n, actual_v))
-
-        def on_ok(hf, _b):
-            left_over = held - n * actual
-            deposit_back(hf, acct, left_over)
-            stop_with(FULFILLED)
-
-        pf.on_asserted(lit(rec("purchase-result", the_order, True)), on_ok)
-        # No cancellation handler: once committed, a cancel is ignored.
-
-    goto = state_machine(
-        sf, "purchase-progress", [("request", request_price), ("purchase", complete_purchase)]
-    )
-
-
-def _finish_funded_extended(sf, the_order, acct, n, maxp, held, fee, wait_period, stop_with):
-    def select_seller(pf):
+    def select_cheapest(pf):
         sellers = query_map(pf, rpat("price", cap("seller"), cap("actual")), "seller", "actual")
         pf.on_retracted(lit(the_order), lambda hf, _b: stop_with(CANCELED))
 
@@ -412,28 +363,29 @@ def _finish_funded_extended(sf, the_order, acct, n, maxp, held, fee, wait_period
         on_timeout(pf, wait_period, decide)
 
     def complete_purchase(pf, seller, actual_v):
+        who = _names(seller)
         actual = _num(actual_v)
-        pf.publish(rec("purchase-request", the_order, seller, n, actual_v))
+        pf.publish(rec("purchase-request", the_order, *who, n, actual_v))
 
         def on_ok(hf, _b):
-            left_over = held - n * actual - fee
-            deposit_back(hf, acct, left_over)
+            deposit_back(hf, acct, held - n * actual - fee)
             stop_with(FULFILLED)
 
-        pf.on_asserted(lit(rec("purchase-result", the_order, seller, True)), on_ok)
-        pf.on_retracted(rpat("price", lit(seller), cap("p")), lambda hf, _b: goto("select"))
+        pf.on_asserted(lit(rec("purchase-result", the_order, *who, True)), on_ok)
+        # Once committed, a cancel is ignored; a named seller that withdraws
+        # its price sends the order back to selection.
+        if who:
+            pf.on_retracted(rpat("price", *who, cap("p")), lambda hf, _b: goto("request"))
 
     goto = state_machine(
-        sf, "purchase-progress", [("select", select_seller), ("purchase", complete_purchase)]
+        sf,
+        "purchase-progress",
+        [("request", select_cheapest if named else take_first_price), ("purchase", complete_purchase)],
     )
 
 
-def spawn_broker(ds, wait_period: int = 100) -> int:
-    return ds.spawn(broker_boot())
-
-
-def spawn_named_broker(ds, name, fee, wait_period: int = 100) -> int:
-    return ds.spawn(broker_boot(name=name, fee=fee, wait_period=wait_period))
+def spawn_broker(ds, name=None, fee=0, wait_period: int = 100) -> int:
+    return ds.spawn(broker_boot(name, fee, wait_period))
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +409,7 @@ def scripted_buyer_boot(handle: BuyerHandle, extended: bool = False, wait_period
         order_facets = {}
 
         def make_order(ctx, ref, n_v, maxp_v, broker=None):
-            oid = ctx.unique()
-            if broker is not None:
-                the_order = rec("order", broker, oid, acct, n_v, maxp_v)
-            else:
-                the_order = rec("order", oid, acct, n_v, maxp_v)
+            the_order = rec("order", *_names(broker), ctx.unique(), acct, n_v, maxp_v)
 
             def await_body(af):
                 order_facets[ref] = af.react(lambda obf: obf.publish(the_order))
@@ -568,7 +516,6 @@ class ScenarioConfig:
     open_ms: int = 1000
     closed_ms: int = 500
     wait_period: int = 100
-    seed: int = 0
 
 
 # Script steps: (advance N) | (place buyer ref n maxp) | (cancel buyer ref)
@@ -632,7 +579,7 @@ class ScenarioResult:
 
 def build_scenario(config: ScenarioConfig, trace_sink=None) -> ScenarioResult:
     """Spawn the full cast; returns handles without running any script."""
-    ds = Dataspace(seed=config.seed, trace_sink=trace_sink)
+    ds = Dataspace(trace_sink=trace_sink)
     spawn_timer_driver(ds, Clock("virtual"))
     spawn_clock(ds, config.open_ms, config.closed_ms)
     bank = spawn_bank(ds, config.accounts)
@@ -640,9 +587,9 @@ def build_scenario(config: ScenarioConfig, trace_sink=None) -> ScenarioResult:
     extended = config.scenario == "extended"
     if extended:
         for name, desired in config.sellers.items():
-            spawn_named_seller(ds, name, desired)
+            spawn_seller(ds, desired, name)
         for name, fee in config.brokers.items():
-            spawn_named_broker(ds, name, fee, config.wait_period)
+            spawn_broker(ds, name, fee, config.wait_period)
     else:
         for desired in config.sellers:
             spawn_seller(ds, desired)

@@ -26,48 +26,30 @@ class UnboundCapture(KeyError):
 class Symbol:
     name: str
 
-    def __repr__(self):
-        return self.name
-
 
 @dataclass(frozen=True)
 class Integer:
     n: int
-
-    def __repr__(self):
-        return str(self.n)
 
 
 @dataclass(frozen=True)
 class Decimal:
     x: float
 
-    def __repr__(self):
-        return repr(self.x)
-
 
 @dataclass(frozen=True)
 class Text:
     s: str
-
-    def __repr__(self):
-        return '"%s"' % self.s
 
 
 @dataclass(frozen=True)
 class Boolean:
     b: bool
 
-    def __repr__(self):
-        return "#t" if self.b else "#f"
-
 
 @dataclass(frozen=True)
 class Sequence:
     items: tuple
-
-    def __repr__(self):
-        return "[%s]" % " ".join(map(render, self.items))
 
 
 @dataclass(frozen=True)
@@ -75,16 +57,10 @@ class Record:
     label: Symbol
     fields: tuple
 
-    def __repr__(self):
-        return render(self)
-
 
 @dataclass(frozen=True)
 class Unique:
     serial: int
-
-    def __repr__(self):
-        return "#u%d" % self.serial
 
 
 Value = Union[Symbol, Integer, Decimal, Text, Boolean, Sequence, Record, Unique]
@@ -337,6 +313,11 @@ def render(v: Value) -> str:
     if isinstance(v, Unique):
         return "#u%d" % v.serial
     raise TypeError("not a Value: %r" % (v,))
+
+
+# Values print as their canonical text.
+for _t in _VALUE_TYPES:
+    _t.__repr__ = render
 
 
 class ParseError(ValueError):

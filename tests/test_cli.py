@@ -46,7 +46,7 @@ def test_run_deterministic_traces(tmp_path):
     script = write(tmp_path, HAPPY)
     paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
     for p in paths:
-        assert main(["run", "--script", script, "--trace", str(p), "--seed", "7"]) == 0
+        assert main(["run", "--script", script, "--trace", str(p)]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
