@@ -12,12 +12,17 @@ import sys
 
 from .expansions import FORMS, check_form
 from .market import ScenarioError, default_config, parse_script, run_scenario
-from .values import parse_all
+from .values import ParseError, parse_all
 
 
 def _cmd_run(args) -> int:
     with open(args.script) as fh:
-        steps = parse_script(parse_all(fh.read()))
+        text = fh.read()
+    try:
+        steps = parse_script(parse_all(text))
+    except (ParseError, ScenarioError) as e:
+        print("bad script %s: %s" % (args.script, e), file=sys.stderr)
+        return 2
     config = default_config(
         args.scenario,
         open_ms=args.open_ms,

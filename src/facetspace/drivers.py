@@ -104,6 +104,8 @@ def advance_virtual_time(ds, delta_ms: int, max_turns: int = 100000):
     clock = ds.clock
     if clock is None or clock.mode != "virtual":
         raise WallClockMode("virtual-time advancement needs a virtual clock")
+    if delta_ms < 0:
+        raise ValueError("virtual time cannot move backwards (delta %d ms)" % delta_ms)
     if ds.pending():
         raise NotQuiescent("dataspace has undelivered events")
     target = clock._now + delta_ms

@@ -518,31 +518,52 @@ class ScenarioConfig:
     wait_period: int = 100
 
 
-# Script steps: (advance N) | (place buyer ref n maxp) | (cancel buyer ref)
-#             | (expect-quiescent) | (assert-balance acct amount)
-#             | (assert-order-result ref answer)
+# Script steps and the kind of value each field takes.
+_STEP_FIELDS = {
+    "advance": ("ms",),
+    "place": ("symbol", "symbol", "count", "price"),  # buyer ref n maxp
+    "cancel": ("symbol", "symbol"),  # buyer ref
+    "expect-quiescent": (),
+    "assert-balance": ("symbol", "number"),  # acct amount
+    "assert-order-result": ("symbol", "symbol"),  # ref answer
+}
+
+_FIELD_KINDS = {
+    "symbol": ("a symbol", lambda v: isinstance(v, Symbol)),
+    "ms": ("a non-negative integer", lambda v: isinstance(v, Integer) and v.n >= 0),
+    "count": ("a positive integer", lambda v: isinstance(v, Integer) and v.n > 0),
+    "price": ("a non-negative number", lambda v: isinstance(v, (Integer, Decimal)) and _num(v) >= 0),
+    "number": ("a number", lambda v: isinstance(v, (Integer, Decimal))),
+}
+
 
 def parse_script(values: list) -> list:
+    """Turn script values into step tuples; raises ScenarioError naming the
+    first step that is unknown or has a field of the wrong kind."""
     steps = []
-    for v in values:
-        if not isinstance(v, Record):
-            raise ScenarioError("bad script step: %s" % render(v))
-        label = v.label.name
-        fs = v.fields
-        if label == "advance" and len(fs) == 1:
+    for i, v in enumerate(values, 1):
+        kinds = _STEP_FIELDS.get(v.label.name) if isinstance(v, Record) else None
+        if kinds is None or len(v.fields) != len(kinds):
+            raise ScenarioError("bad script step %d: %s: unknown step or wrong field count" % (i, render(v)))
+        for pos, (kind, x) in enumerate(zip(kinds, v.fields), 1):
+            what, ok = _FIELD_KINDS[kind]
+            if not ok(x):
+                raise ScenarioError(
+                    "bad script step %d: %s: field %d must be %s" % (i, render(v), pos, what)
+                )
+        label, fs = v.label.name, v.fields
+        if label == "advance":
             steps.append(("advance", fs[0].n))
-        elif label == "place" and len(fs) == 4:
+        elif label == "place":
             steps.append(("place", fs[0].name, fs[1].name, fs[2], fs[3]))
-        elif label == "cancel" and len(fs) == 2:
+        elif label == "cancel":
             steps.append(("cancel", fs[0].name, fs[1].name))
-        elif label == "expect-quiescent" and not fs:
+        elif label == "expect-quiescent":
             steps.append(("expect-quiescent",))
-        elif label == "assert-balance" and len(fs) == 2:
+        elif label == "assert-balance":
             steps.append(("assert-balance", fs[0], _num(fs[1])))
-        elif label == "assert-order-result" and len(fs) == 2:
-            steps.append(("assert-order-result", fs[0].name, fs[1].name))
         else:
-            raise ScenarioError("bad script step: %s" % render(v))
+            steps.append(("assert-order-result", fs[0].name, fs[1].name))
     return steps
 
 

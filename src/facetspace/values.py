@@ -8,6 +8,7 @@ immutable and hashable, so they can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 
@@ -83,6 +84,8 @@ def to_value(x) -> Value:
     if isinstance(x, int):
         return Integer(x)
     if isinstance(x, float):
+        if x != x:
+            raise ValueError("NaN is not a value: it equals nothing, so it could never be retracted")
         return Decimal(x)
     if isinstance(x, str):
         return Text(x)
@@ -295,7 +298,7 @@ def message_interest(p: Pattern) -> Record:
 
 def render(v: Value) -> str:
     if isinstance(v, Symbol):
-        return v.name
+        return _symbol_text(v.name)
     if isinstance(v, Integer):
         return str(v.n)
     if isinstance(v, Decimal):
@@ -307,12 +310,26 @@ def render(v: Value) -> str:
     if isinstance(v, Sequence):
         return "[%s]" % " ".join(render(i) for i in v.items)
     if isinstance(v, Record):
+        label = _symbol_text(v.label.name)
         if v.fields:
-            return "(%s %s)" % (v.label.name, " ".join(render(f) for f in v.fields))
-        return "(%s)" % v.label.name
+            return "(%s %s)" % (label, " ".join(render(f) for f in v.fields))
+        return "(%s)" % label
     if isinstance(v, Unique):
         return "#u%d" % v.serial
     raise TypeError("not a Value: %r" % (v,))
+
+
+@lru_cache(maxsize=4096)  # the check parses the name; traces repeat few names
+def _symbol_text(name: str) -> str:
+    """A symbol bare when it reads back as the same symbol, else quoted
+    Preserves-style as |...| with backslash escapes."""
+    if name and _QUOTE_IF.isdisjoint(name):
+        try:
+            if _parse_atom(name) == Symbol(name):
+                return name
+        except ParseError:
+            pass
+    return "|%s|" % name.replace("\\", "\\\\").replace("|", "\\|")
 
 
 # Values print as their canonical text.
@@ -324,7 +341,25 @@ class ParseError(ValueError):
     pass
 
 
-_DELIMS = set("()[]\" \t\n\r")
+_DELIMS = set("()[]\"| \t\n\r")
+_QUOTE_IF = _DELIMS | {";"}
+
+
+def _read_quoted(text: str, i: int, what: str):
+    """Content and end index of the quoted token opening at text[i]; a
+    backslash escapes the next character."""
+    quote, j, n = text[i], i + 1, len(text)
+    out = []
+    while j < n and text[j] != quote:
+        if text[j] == "\\" and j + 1 < n:
+            out.append(text[j + 1])
+            j += 2
+        else:
+            out.append(text[j])
+            j += 1
+    if j >= n:
+        raise ParseError("unterminated %s" % what)
+    return "".join(out), j + 1
 
 
 def _tokenize(text: str) -> Iterator[str]:
@@ -340,19 +375,11 @@ def _tokenize(text: str) -> Iterator[str]:
             yield c
             i += 1
         elif c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append(text[j + 1])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string literal")
-            yield '"' + "".join(out)
-            i = j + 1
+            s, i = _read_quoted(text, i, "string literal")
+            yield '"' + s
+        elif c == "|":
+            s, i = _read_quoted(text, i, "quoted symbol")
+            yield "|" + s
         else:
             j = i
             while j < n and text[j] not in _DELIMS:
@@ -364,6 +391,8 @@ def _tokenize(text: str) -> Iterator[str]:
 def _parse_atom(tok: str) -> Value:
     if tok.startswith('"'):
         return Text(tok[1:])
+    if tok.startswith("|"):
+        return Symbol(tok[1:])
     if tok == "#t":
         return Boolean(True)
     if tok == "#f":
@@ -378,10 +407,12 @@ def _parse_atom(tok: str) -> Value:
     except ValueError:
         pass
     try:
-        return Decimal(float(tok))
+        x = float(tok)
     except ValueError:
-        pass
-    return Symbol(tok)
+        return Symbol(tok)
+    if x != x:
+        raise ParseError("NaN is not a value: %s" % tok)
+    return Decimal(x)
 
 
 def _parse_one(tokens: list, pos: int):
@@ -390,13 +421,9 @@ def _parse_one(tokens: list, pos: int):
     tok = tokens[pos]
     if tok == "(":
         pos += 1
-        if (
-            pos >= len(tokens)
-            or tokens[pos] in "()[]"
-            or not isinstance(_parse_atom(tokens[pos]), Symbol)
-        ):
+        label = None if pos >= len(tokens) or tokens[pos] in "()[]" else _parse_atom(tokens[pos])
+        if not isinstance(label, Symbol):
             raise ParseError("record must start with a symbol label")
-        label = Symbol(tokens[pos])
         pos += 1
         fields = []
         while pos < len(tokens) and tokens[pos] != ")":

@@ -42,6 +42,13 @@ def test_run_failing_assertion_exits_nonzero(tmp_path, capsys):
     assert "script assertion failed" in capsys.readouterr().err
 
 
+def test_run_rejects_bad_scripts(tmp_path, capsys):
+    for text in ["(advance foo)", "(place b1 o1 5 50"]:
+        script = write(tmp_path, text)
+        assert main(["run", "--script", script, "--trace", str(tmp_path / "t.jsonl")]) == 2
+        assert "bad script" in capsys.readouterr().err
+
+
 def test_run_deterministic_traces(tmp_path):
     script = write(tmp_path, HAPPY)
     paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]

@@ -106,6 +106,14 @@ def test_advance_requires_quiescence_and_virtual_mode():
         fire_due_wall_timers(ds)  # ds is virtual
 
 
+def test_advance_refuses_to_move_time_backwards():
+    ds = setup_ds()
+    advance_virtual_time(ds, 100)
+    with pytest.raises(ValueError, match="backwards"):
+        advance_virtual_time(ds, -50)
+    assert ds.clock.now == 100
+
+
 def test_single_driver_per_dataspace():
     ds = setup_ds()
     with pytest.raises(RuntimeError):
