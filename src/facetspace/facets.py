@@ -55,7 +55,7 @@ class Field:
         self.actor = actor
         self.owner = owner
         self._value = initial
-        self.dependents = {}  # AssertEndpoints in first-read order: replay must not depend on addresses
+        self.dependents = {}  # AssertEndpoints in first-read order, never in address order
 
     def __call__(self, *args):
         if not self.owner.alive:

@@ -521,19 +521,25 @@ class ScenarioConfig:
 # Script steps and the kind of value each field takes.
 _STEP_FIELDS = {
     "advance": ("ms",),
-    "place": ("symbol", "symbol", "count", "price"),  # buyer ref n maxp
-    "cancel": ("symbol", "symbol"),  # buyer ref
+    "place": ("name", "name", "count", "price"),  # buyer ref n maxp
+    "cancel": ("name", "name"),  # buyer ref
     "expect-quiescent": (),
-    "assert-balance": ("symbol", "number"),  # acct amount
-    "assert-order-result": ("symbol", "symbol"),  # ref answer
+    "assert-balance": ("account", "amount"),
+    "assert-order-result": ("name", "name"),  # ref answer
 }
 
+# kind -> (description, check, what the step tuple keeps of the field)
 _FIELD_KINDS = {
-    "symbol": ("a symbol", lambda v: isinstance(v, Symbol)),
-    "ms": ("a non-negative integer", lambda v: isinstance(v, Integer) and v.n >= 0),
-    "count": ("a positive integer", lambda v: isinstance(v, Integer) and v.n > 0),
-    "price": ("a non-negative number", lambda v: isinstance(v, (Integer, Decimal)) and _num(v) >= 0),
-    "number": ("a number", lambda v: isinstance(v, (Integer, Decimal))),
+    "name": ("a symbol", lambda v: isinstance(v, Symbol), lambda v: v.name),
+    "account": ("a symbol", lambda v: isinstance(v, Symbol), lambda v: v),
+    "ms": ("a non-negative integer", lambda v: isinstance(v, Integer) and v.n >= 0, lambda v: v.n),
+    "count": ("a positive integer", lambda v: isinstance(v, Integer) and v.n > 0, lambda v: v),
+    "price": (
+        "a non-negative number",
+        lambda v: isinstance(v, (Integer, Decimal)) and _num(v) >= 0,
+        lambda v: v,
+    ),
+    "amount": ("a number", lambda v: isinstance(v, (Integer, Decimal)), _num),
 }
 
 
@@ -542,28 +548,17 @@ def parse_script(values: list) -> list:
     first step that is unknown or has a field of the wrong kind."""
     steps = []
     for i, v in enumerate(values, 1):
+        where = "bad script step %d: %s" % (i, render(v))
         kinds = _STEP_FIELDS.get(v.label.name) if isinstance(v, Record) else None
         if kinds is None or len(v.fields) != len(kinds):
-            raise ScenarioError("bad script step %d: %s: unknown step or wrong field count" % (i, render(v)))
+            raise ScenarioError(where + ": unknown step or wrong field count")
+        step = [v.label.name]
         for pos, (kind, x) in enumerate(zip(kinds, v.fields), 1):
-            what, ok = _FIELD_KINDS[kind]
+            what, ok, keep = _FIELD_KINDS[kind]
             if not ok(x):
-                raise ScenarioError(
-                    "bad script step %d: %s: field %d must be %s" % (i, render(v), pos, what)
-                )
-        label, fs = v.label.name, v.fields
-        if label == "advance":
-            steps.append(("advance", fs[0].n))
-        elif label == "place":
-            steps.append(("place", fs[0].name, fs[1].name, fs[2], fs[3]))
-        elif label == "cancel":
-            steps.append(("cancel", fs[0].name, fs[1].name))
-        elif label == "expect-quiescent":
-            steps.append(("expect-quiescent",))
-        elif label == "assert-balance":
-            steps.append(("assert-balance", fs[0], _num(fs[1])))
-        else:
-            steps.append(("assert-order-result", fs[0].name, fs[1].name))
+                raise ScenarioError("%s: field %d must be %s" % (where, pos, what))
+            step.append(keep(x))
+        steps.append(tuple(step))
     return steps
 
 

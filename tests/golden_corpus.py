@@ -39,7 +39,8 @@ def _market_script(rng: random.Random, buyers, prices) -> str:
         if kind == "place":
             ref = "o%d" % len(refs)
             refs.append(ref)
-            steps.append("(place %s %s %d %d)" % (rng.choice(buyers), ref, rng.randrange(1, 8), rng.choice(prices)))
+            buyer, n, maxp = rng.choice(buyers), rng.randrange(1, 8), rng.choice(prices)
+            steps.append("(place %s %s %d %d)" % (buyer, ref, n, maxp))
             steps.append("(expect-quiescent)")
         elif kind == "cancel" and refs:
             steps.append("(cancel %s %s)" % (rng.choice(buyers), rng.choice(refs)))
@@ -126,7 +127,8 @@ def ledger_run(seed: int) -> str:
 
     ds.spawn(client)
     for number in range(4):
-        ds.spawn(lambda f, n=number: f.on_asserted(rpat("balance", lit(n), cap("amt")), lambda hf, b: None))
+        balance = rpat("balance", lit(number), cap("amt"))
+        ds.spawn(lambda f, p=balance: f.on_asserted(p, lambda hf, b: None))
     ds.run_until_quiescent()
     for _ in range(12):
         ds.inject_message(rec("deposit", rec("acct", rng.randrange(4)), rng.randrange(1, 50)))

@@ -214,11 +214,11 @@ def test_parse_script_rejects_junk():
     [
         ("(advance foo)", "step 1: (advance foo): field 1 must be a non-negative integer"),
         ("(advance -100)", "step 1: (advance -100): field 1 must be a non-negative integer"),
-        ("(advance 5)(place b1 o1 five 50)", "step 2: (place b1 o1 five 50): field 3 must be a positive integer"),
+        ("(advance 5)(place b1 o1 0 50)", "step 2: (place b1 o1 0 50): field 3 must be a positive integer"),
         ("(place b1 o1 5 -1)", "step 1: (place b1 o1 5 -1): field 4 must be a non-negative number"),
         ("(cancel 3 o1)", "step 1: (cancel 3 o1): field 1 must be a symbol"),
         ("(assert-balance a1 lots)", "step 1: (assert-balance a1 lots): field 2 must be a number"),
-        ('(assert-order-result o1 "done")', 'step 1: (assert-order-result o1 "done"): field 2 must be a symbol'),
+        ('(assert-order-result o1 "ok")', 'step 1: (assert-order-result o1 "ok"): field 2 must be a symbol'),
     ],
 )
 def test_parse_script_names_the_bad_field(text, message):
