@@ -16,8 +16,12 @@ from .values import ParseError, parse_all
 
 
 def _cmd_run(args) -> int:
-    with open(args.script) as fh:
-        text = fh.read()
+    try:
+        with open(args.script) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        print("cannot read script %s: %s" % (args.script, getattr(e, "strerror", None) or e), file=sys.stderr)
+        return 2
     try:
         steps = parse_script(parse_all(text))
     except (ParseError, ScenarioError) as e:
@@ -29,7 +33,12 @@ def _cmd_run(args) -> int:
         closed_ms=args.closed_ms,
         wait_period=args.wait_period,
     )
-    with open(args.trace, "w") as sink:
+    try:
+        sink = open(args.trace, "w")
+    except OSError as e:
+        print("cannot write trace %s: %s" % (args.trace, e.strerror or e), file=sys.stderr)
+        return 2
+    with sink:
         try:
             result = run_scenario(config, steps, trace_sink=sink)
         except ScenarioError as e:

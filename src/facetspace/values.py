@@ -7,7 +7,7 @@ immutable and hashable, so they can be shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Union
 
@@ -23,44 +23,67 @@ class UnboundCapture(KeyError):
 # ---------------------------------------------------------------------------
 # Values
 
-@dataclass(frozen=True)
-class Symbol:
+class _Value:
+    """Slotted base of the value classes. Its one slot caches the value's
+    hash; dataclass fields, equality and pickle state never see it."""
+    __slots__ = ("_hash",)
+
+
+def _value_hash(self) -> int:
+    """The dataclass-generated hash, computed once per value and process."""
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash(tuple(getattr(self, f) for f in self.__match_args__))
+        object.__setattr__(self, "_hash", h)
+        return h
+
+
+def _refuse_assignment(self, name, *value):
+    # The generated frozen __setattr__ would raise TypeError rather than
+    # FrozenInstanceError for a non-field name such as _hash: slots=True
+    # rebuilds the class, and the generated method still names the old one.
+    raise FrozenInstanceError("cannot assign to field %r" % name)
+
+
+@dataclass(frozen=True, slots=True)
+class Symbol(_Value):
     name: str
 
 
-@dataclass(frozen=True)
-class Integer:
+@dataclass(frozen=True, slots=True)
+class Integer(_Value):
     n: int
 
 
-@dataclass(frozen=True)
-class Decimal:
+@dataclass(frozen=True, slots=True)
+class Decimal(_Value):
     x: float
 
 
-@dataclass(frozen=True)
-class Text:
+@dataclass(frozen=True, slots=True)
+class Text(_Value):
     s: str
 
 
-@dataclass(frozen=True)
-class Boolean:
+@dataclass(frozen=True, slots=True)
+class Boolean(_Value):
     b: bool
 
 
-@dataclass(frozen=True)
-class Sequence:
+@dataclass(frozen=True, slots=True)
+class Sequence(_Value):
     items: tuple
 
 
-@dataclass(frozen=True)
-class Record:
+@dataclass(frozen=True, slots=True)
+class Record(_Value):
     label: Symbol
     fields: tuple
 
 
-@dataclass(frozen=True)
-class Unique:
+@dataclass(frozen=True, slots=True)
+class Unique(_Value):
     serial: int
 
 
@@ -257,12 +280,25 @@ def encode(p: Pattern) -> Value:
     if isinstance(p, Capture):
         return Record(CAPTURE_LABEL, (Text(p.name),))
     if isinstance(p, Literal):
+        if _holds_reserved_label(p.v):
+            raise ValueError(
+                "literal %s holds a record labelled wildcard or capture; "
+                "its encoding would decode as a pattern, not as itself" % render(p.v)
+            )
         return p.v
     if isinstance(p, RecordPat):
         return Record(p.label, tuple(encode(f) for f in p.fields))
     if isinstance(p, SequencePat):
         return Sequence(tuple(encode(i) for i in p.items))
     raise TypeError("not a pattern: %r" % (p,))
+
+
+def _holds_reserved_label(v: Value) -> bool:
+    if isinstance(v, Record):
+        return v.label in (WILDCARD_LABEL, CAPTURE_LABEL) or any(map(_holds_reserved_label, v.fields))
+    if isinstance(v, Sequence):
+        return any(map(_holds_reserved_label, v.items))
+    return False
 
 
 def decode(v: Value) -> Pattern:
@@ -332,9 +368,13 @@ def _symbol_text(name: str) -> str:
     return "|%s|" % name.replace("\\", "\\\\").replace("|", "\\|")
 
 
-# Values print as their canonical text.
+# Values print as their canonical text, hash through the cached slot (frozen
+# dataclasses would otherwise get a generated, uncached __hash__) and refuse
+# every assignment.
 for _t in _VALUE_TYPES:
     _t.__repr__ = render
+    _t.__hash__ = _value_hash
+    _t.__setattr__ = _t.__delattr__ = _refuse_assignment
 
 
 class ParseError(ValueError):

@@ -49,6 +49,18 @@ def test_run_rejects_bad_scripts(tmp_path, capsys):
         assert "bad script" in capsys.readouterr().err
 
 
+def test_run_reports_unreadable_script(tmp_path, capsys):
+    for script in [str(tmp_path / "missing.txt"), str(tmp_path)]:
+        assert main(["run", "--script", script, "--trace", str(tmp_path / "t.jsonl")]) == 2
+        assert capsys.readouterr().err.startswith("cannot read script %s: " % script)
+
+
+def test_run_reports_unwritable_trace(tmp_path, capsys):
+    trace = str(tmp_path / "no-such-dir" / "t.jsonl")
+    assert main(["run", "--script", write(tmp_path, HAPPY), "--trace", trace]) == 2
+    assert capsys.readouterr().err.startswith("cannot write trace %s: " % trace)
+
+
 def test_run_deterministic_traces(tmp_path):
     script = write(tmp_path, HAPPY)
     paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]

@@ -194,6 +194,19 @@ def test_crash_skips_stop_handlers():
     assert ds.query(lit(rec("flag"))) == []
 
 
+def test_literal_holding_a_reserved_label_crashes_the_installing_turn():
+    # the encoding would route (wildcard) as a wildcard interest, so the
+    # actor would be sent every assertion; the endpoint is refused instead
+    ds = Dataspace()
+    seen = []
+    ds.spawn(lambda f: f.publish(rec("price", 40)))
+    aid = ds.spawn(lambda f: f.on_asserted(lit(rec("wildcard")), lambda hf, b: seen.append(b)))
+    quiesce(ds)
+    assert not ds.is_alive(aid)
+    assert [r.crashed for r in ds.trace if r.actor == aid] == [True]
+    assert seen == []
+
+
 def test_dispatch_first_registered_wins_when_facet_dies():
     # two handlers match the same event; the first stops the facet, so the
     # second never runs

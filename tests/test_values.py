@@ -1,5 +1,14 @@
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
+
+import facetspace
 
 from facetspace.values import (
     Boolean,
@@ -145,9 +154,92 @@ def test_parse_render_round_trip(v):
     assert parse(render(v)) == v
 
 
-@given(_values())
+def _holds_reserved(v):
+    if isinstance(v, Record):
+        return v.label.name in ("wildcard", "capture") or any(map(_holds_reserved, v.fields))
+    if isinstance(v, Sequence):
+        return any(map(_holds_reserved, v.items))
+    return False
+
+
+# draw the labels the pattern encoding reserves often enough to hit them
+_labels = st.sampled_from(["wildcard", "capture"]).map(Symbol) | _symbols
+
+
+@given(_values(_labels))
 def test_ground_decode_is_literal(v):
-    assert decode(encode(Literal(v))) == Literal(v)
+    if _holds_reserved(v):
+        with pytest.raises(ValueError, match="wildcard or capture"):
+            encode(Literal(v))
+    else:
+        assert decode(encode(Literal(v))) == Literal(v)
+
+
+def test_encode_rejects_literals_holding_reserved_labels():
+    for v in [
+        rec("wildcard"),
+        rec("capture", "x"),
+        rec("price", rec("capture", "x")),
+        rec("price", 40, Sequence((rec("wildcard"),))),
+    ]:
+        with pytest.raises(ValueError) as e:
+            encode(lit(v))
+        assert render(v) in str(e.value)
+        with pytest.raises(ValueError):
+            observe(rpat("quote", cap("q"), lit(v)))
+
+
+# ---------------------------------------------------------------------------
+# hash cache
+
+@given(_values(st.text().map(Symbol)), st.booleans())
+def test_cached_hash_agrees_with_a_fresh_equal_value(v, hash_original_first):
+    w = parse(render(v))
+    first, second = (v, w) if hash_original_first else (w, v)
+    h = hash(first)  # fills first's cache (and its children's) only
+    assert w == v
+    assert hash(second) == h
+    assert h == hash(tuple(getattr(v, f.name) for f in fields(v)))
+
+
+_PICKLED = rec("price", sym("s1"), "forty", Sequence((Text("x"), Unique(3))), 2.5)
+
+_CHILD = """
+import pickle, sys
+from facetspace.values import Sequence, Text, Unique, rec, sym
+v = pickle.load(sys.stdin.buffer)
+equal = rec("price", sym("s1"), "forty", Sequence((Text("x"), Unique(3))), 2.5)
+print(v in {equal, rec("price", 40)}, hash(equal))
+"""
+
+
+def test_unpickled_value_rehashes_under_another_hash_seed():
+    h = hash(_PICKLED)  # cached before pickling
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    src = str(Path(facetspace.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _CHILD],
+        input=pickle.dumps(_PICKLED),
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+        capture_output=True, timeout=60, check=True,
+    )
+    found, fresh_hash = out.stdout.decode().split()
+    assert int(fresh_hash) != h  # the seeds differ, so a stale cached hash would miss
+    assert found == "True"
+
+
+def test_values_refuse_assignment():
+    v = rec("price", 40)
+    hash(v)
+    for name in ("label", "fields", "_hash"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(v, name, Integer(1))
+        with pytest.raises(FrozenInstanceError):
+            delattr(v, name)
+    with pytest.raises(FrozenInstanceError):
+        Symbol("s").name = "t"
+    assert [f.name for f in fields(v)] == ["label", "fields"]
+    assert v.__getstate__() == [Symbol("price"), (Integer(40),)]
 
 
 # ---------------------------------------------------------------------------
