@@ -153,8 +153,11 @@ class Dataspace:
 
     def __init__(self, trace_sink=None):
         self.trace_sink = trace_sink  # file-like; gets one JSON line per turn
-        self.bag: dict = {}  # Value -> {actor id -> count}
-        self.actors: dict = {}  # actor id -> runtime or None once terminated
+        # Only live state: every bag entry has a holder, and a terminated
+        # actor leaves no key behind. Actor ids only grow, so the actor
+        # tables iterate in ascending id order.
+        self.bag: dict = {}  # present Value -> {actor id -> count > 0}
+        self.actors: dict = {}  # live actor id -> runtime
         self.interests: dict = {}  # actor id -> {observe Value -> _Interest}
         self.visible: dict = {}  # actor id -> set of Values notified present
         self.queue: deque = deque()
@@ -193,11 +196,11 @@ class Dataspace:
     # -- introspection ------------------------------------------------------
 
     def query(self, p: Pattern) -> list:
-        """All present values matching p, in bag (insertion) order."""
-        return [v for v, per in self.bag.items() if sum(per.values()) > 0 and match(p, v) is not None]
+        """All present values matching p, in the order they last became present."""
+        return [v for v in self.bag if match(p, v) is not None]
 
     def is_alive(self, aid: int) -> bool:
-        return self.actors.get(aid) is not None
+        return aid in self.actors
 
     def pending(self) -> bool:
         return any(self.is_alive(aid) for aid, _ in self.queue)
@@ -258,16 +261,20 @@ class Dataspace:
     # -- action application -------------------------------------------------
 
     def _bump(self, aid, v, delta, old_totals):
-        per = self.bag.setdefault(v, {})
+        per = self.bag.get(v) or {}
         if v not in old_totals:
             old_totals[v] = sum(per.values())
-        have = per.get(aid, 0)
-        if delta < 0 and have == 0:
+        have = per.get(aid, 0) + delta
+        if have < 0:
             log.warning("actor %d retracts unheld assertion %s", aid, render(v))
             return
-        per[aid] = have + delta
-        if per[aid] == 0:
+        if have:
+            per[aid] = have
+            self.bag[v] = per  # a new entry goes last: it has just become present
+        else:
             del per[aid]
+            if not per:
+                del self.bag[v]
         self._note_interest(aid, v, delta)
 
     def _note_interest(self, aid, v, delta):
@@ -325,25 +332,19 @@ class Dataspace:
     def _message_deliveries(self, v):
         wrapper = Record(MESSAGE, (v,))
         out = []
-        for aid in sorted(self.actors):
-            if not self.is_alive(aid):
-                continue
-            if any(match(e.pattern, wrapper) is not None for e in self.interests[aid].values()):
+        for aid, table in self.interests.items():
+            if any(match(e.pattern, wrapper) is not None for e in table.values()):
                 out.append((aid, MessageEvent(v)))
         return out
 
     def _terminate(self, aid) -> Patch:
-        """Remove all of an actor's bag contributions; drop its runtime."""
-        old_totals: dict = {}
-        for v in list(self.bag):
-            per = self.bag[v]
-            if per.get(aid):
-                old_totals[v] = sum(per.values())
-                del per[aid]
-        removed = [v for v, old in old_totals.items() if old > 0 and sum(self.bag.get(v, {}).values()) == 0]
-        self.actors[aid] = None
-        self.interests[aid] = {}
-        self.visible[aid] = set()
+        """Remove all of an actor's bag contributions and its table slots."""
+        removed = []
+        for v, per in list(self.bag.items()):
+            if per.pop(aid, 0) and not per:
+                del self.bag[v]
+                removed.append(v)
+        del self.actors[aid], self.interests[aid], self.visible[aid]
         self.queue = deque((a, e) for a, e in self.queue if a != aid)
         return Patch((), tuple(removed))
 
@@ -355,15 +356,14 @@ class Dataspace:
         Each actor's visible set enforces the per-observer alternation of
         appearance/disappearance notifications; new interests trigger a
         synthetic initial patch of already-present matching values, which is
-        delivered before the turn's regular patch.
+        delivered before the turn's regular patch. It lists them in bag
+        order: the order in which they last became present.
         """
         fresh: dict = {}
         for aid, p in new_interests:
             fresh.setdefault(aid, []).append(p)
         out = []
-        for aid in sorted(self.actors):
-            if not self.is_alive(aid):
-                continue
+        for aid in self.actors:
             pats = [e.pattern for e in self.interests[aid].values()]
             vis = self.visible[aid]
             vis = {v for v in vis if any(match(p, v) is not None for p in pats)}
@@ -376,8 +376,7 @@ class Dataspace:
             init_added = tuple(
                 v
                 for v in self.bag
-                if sum(self.bag[v].values()) > 0
-                and v not in vis
+                if v not in vis
                 and v not in f_added
                 and any(match(p, v) is not None for p in fresh.get(aid, []))
             )

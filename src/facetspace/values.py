@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterator, Optional, Union
 
 
@@ -34,7 +35,7 @@ def _value_hash(self) -> int:
     try:
         return self._hash
     except AttributeError:
-        h = hash(tuple(getattr(self, f) for f in self.__match_args__))
+        h = hash(self._field_tuple(self))
         object.__setattr__(self, "_hash", h)
         return h
 
@@ -287,6 +288,11 @@ def encode(p: Pattern) -> Value:
             )
         return p.v
     if isinstance(p, RecordPat):
+        if p.label in (WILDCARD_LABEL, CAPTURE_LABEL):
+            raise ValueError(
+                "record pattern %r is labelled %s; its encoding would decode as "
+                "a wildcard or capture, not as a record pattern" % (p, p.label.name)
+            )
         return Record(p.label, tuple(encode(f) for f in p.fields))
     if isinstance(p, SequencePat):
         return Sequence(tuple(encode(i) for i in p.items))
@@ -370,10 +376,13 @@ def _symbol_text(name: str) -> str:
 
 # Values print as their canonical text, hash through the cached slot (frozen
 # dataclasses would otherwise get a generated, uncached __hash__) and refuse
-# every assignment.
+# every assignment. _field_tuple gives the tuple of fields the generated hash
+# hashes; attrgetter gives a bare value, not a tuple, for a single name.
 for _t in _VALUE_TYPES:
     _t.__repr__ = render
     _t.__hash__ = _value_hash
+    _get = attrgetter(*_t.__match_args__)
+    _t._field_tuple = staticmethod(_get if len(_t.__match_args__) > 1 else lambda v, g=_get: (g(v),))
     _t.__setattr__ = _t.__delattr__ = _refuse_assignment
 
 

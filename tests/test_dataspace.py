@@ -17,6 +17,8 @@ from facetspace.dataspace import (
     render_action,
     render_event,
 )
+from facetspace.values import lit, message_interest, observe
+
 CELL = rpat("cell", cap("k"))
 
 
@@ -30,6 +32,12 @@ class Scripted:
     def handle_event(self, event):
         self.seen.append(event)
         return self.batches.pop(0) if self.batches else []
+
+
+def assert_forgotten(ds, aid):
+    """A terminated actor leaves no slot in any actor table."""
+    assert not ds.is_alive(aid)
+    assert aid not in ds.actors and aid not in ds.interests and aid not in ds.visible
 
 
 def test_set_view_single_crossing():
@@ -131,7 +139,7 @@ def test_crash_discards_actions_and_cleans_up(caplog):
     # Crasher has no interests, so poke it with a message interest-free path:
     ds.queue.append((aid, MessageEvent(rec("poke", 0))))
     ds.run_until_quiescent()
-    assert not ds.is_alive(aid)
+    assert_forgotten(ds, aid)
     assert r.events == [("+", rec("cell", 7)), ("-", rec("cell", 7))]
     assert ds.query(CELL) == []
     assert any(rec.crashed for rec in ds.trace)
@@ -140,19 +148,69 @@ def test_crash_discards_actions_and_cleans_up(caplog):
 def test_retract_unheld_warns_and_is_ignored(caplog):
     ds = Dataspace()
     r = spawn_recorder(ds, CELL)
+    ds.run_until_quiescent()
+    before = {v: dict(per) for v, per in ds.bag.items()}
     ds.spawn(Scripted([Retract(rec("cell", 1))]))
     ds.run_until_quiescent()
     assert r.events == []
     assert "retracts unheld" in caplog.text
+    assert ds.bag == before
 
 
 def test_quit_emits_removal_patch():
     ds = Dataspace()
     r = spawn_recorder(ds, CELL)
-    aid = ds.spawn(Scripted([Assert(rec("cell", 5)), Quit()]))
+    aid = ds.spawn(Scripted([Assert(observe(CELL)), Assert(rec("cell", 5)), Quit()]))
     ds.run_until_quiescent()
-    assert not ds.is_alive(aid)
+    assert_forgotten(ds, aid)
     assert r.events == [("+", rec("cell", 5)), ("-", rec("cell", 5))]
+
+
+def test_bag_holds_only_present_values():
+    # churn through assert, retract, re-assert, quit and crash; after every
+    # turn each bag entry still has a holder with a positive count
+    class CrashOnMessage:
+        def handle_event(self, event):
+            if isinstance(event, MessageEvent):
+                raise RuntimeError("boom")
+            return [Assert(rec("cell", 9)), Assert(message_interest(lit(rec("boom"))))]
+
+    ds = Dataspace()
+    spawn_recorder(ds, CELL)
+    ds.spawn(named_puppet_boot("a"))
+    ds.spawn(Scripted([Assert(rec("cell", 3)), Quit()]))
+    ds.spawn(CrashOnMessage())
+    inputs = [
+        drive_cmd("a", "do-assert", rec("cell", 1)),
+        drive_cmd("a", "do-assert", rec("cell", 2)),
+        drive_cmd("a", "do-retract", rec("cell", 1)),
+        drive_cmd("a", "do-retract", rec("cell", 2)),
+        drive_cmd("a", "do-assert", rec("cell", 2)),
+        rec("boom"),
+    ]
+    for v in [rec("nobody-listens")] + inputs:
+        ds.inject_message(v)
+        while ds.pending():
+            ds.run_turn()
+            assert all(per and min(per.values()) > 0 for per in ds.bag.values())
+    assert [v for v in ds.bag if v.label == sym("cell")] == [rec("cell", 2)]
+
+
+def test_initial_patch_lists_values_in_the_order_they_last_became_present():
+    ds = Dataspace()
+    ds.spawn(named_puppet_boot("a"))
+    ds.run_until_quiescent()
+    for k in range(3):
+        ds.inject_message(drive_cmd("a", "do-assert", rec("cell", k)))
+    ds.inject_message(drive_cmd("a", "do-retract", rec("cell", 0)))
+    ds.run_until_quiescent()
+    ds.inject_message(drive_cmd("a", "do-assert", rec("cell", 0)))
+    ds.run_until_quiescent()
+    r = spawn_recorder(ds, CELL)
+    ds.run_until_quiescent()
+    order = [rec("cell", 1), rec("cell", 2), rec("cell", 0)]
+    assert [p.patch.added for p in r.patches] == [tuple(order)]
+    assert ds.query(CELL) == order
 
 
 def test_spawned_child_boots_after_patches():

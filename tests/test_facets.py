@@ -207,6 +207,19 @@ def test_literal_holding_a_reserved_label_crashes_the_installing_turn():
     assert seen == []
 
 
+def test_record_pattern_with_a_reserved_label_crashes_the_installing_turn():
+    # (observe (wildcard (capture "x"))) would be a malformed interest that
+    # leaves the actor alive with an endpoint that never fires
+    ds = Dataspace()
+    seen = []
+    ds.spawn(lambda f: f.publish(rec("wildcard", 1)))
+    aid = ds.spawn(lambda f: f.on_asserted(rpat("wildcard", cap("x")), lambda hf, b: seen.append(b)))
+    quiesce(ds)
+    assert not ds.is_alive(aid)
+    assert [r.crashed for r in ds.trace if r.actor == aid] == [True]
+    assert seen == []
+
+
 def test_dispatch_first_registered_wins_when_facet_dies():
     # two handlers match the same event; the first stops the facet, so the
     # second never runs

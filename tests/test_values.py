@@ -189,6 +189,12 @@ def test_encode_rejects_literals_holding_reserved_labels():
             observe(rpat("quote", cap("q"), lit(v)))
 
 
+def test_encode_rejects_record_patterns_with_reserved_labels():
+    for p in [rpat("wildcard", cap("x")), rpat("capture", WILDCARD), rpat("price", rpat("wildcard", cap("x")))]:
+        with pytest.raises(ValueError, match="record pattern \\((wildcard|capture) "):
+            encode(p)
+
+
 # ---------------------------------------------------------------------------
 # hash cache
 
