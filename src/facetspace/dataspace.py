@@ -203,7 +203,7 @@ class Dataspace:
         return aid in self.actors
 
     def pending(self) -> bool:
-        return any(self.is_alive(aid) for aid, _ in self.queue)
+        return bool(self.queue)
 
     # -- external inputs (serialized inbox) ---------------------------------
 
@@ -215,8 +215,6 @@ class Dataspace:
     # -- the turn engine ----------------------------------------------------
 
     def run_turn(self) -> TurnRecord:
-        while self.queue and not self.is_alive(self.queue[0][0]):
-            self.queue.popleft()
         if not self.queue:
             raise RuntimeError("run_turn on a quiescent dataspace")
         aid, event = self.queue.popleft()
@@ -240,6 +238,7 @@ class Dataspace:
             deliveries.extend(boots)
             if quit_requested:
                 final_patch = self._terminate(aid)
+                deliveries = [d for d in deliveries if d[0] != aid]
                 deliveries.extend(self._patch_deliveries(final_patch, []))
         self.queue.extend(deliveries)
 
@@ -322,10 +321,15 @@ class Dataspace:
                 added.append(v)
             elif old > 0 and new == 0:
                 removed.append(v)
+        table = self.interests[aid]
+        if interests_before - table.keys():
+            # net loss over the turn: forget what only the lost patterns matched
+            pats = [e.pattern for e in table.values()]
+            self.visible[aid] = {
+                v for v in self.visible[aid] if any(match(p, v) is not None for p in pats)
+            }
         new_interests = [
-            (aid, e.pattern)
-            for k, e in self.interests[aid].items()
-            if k not in interests_before
+            (aid, e.pattern) for k, e in table.items() if k not in interests_before
         ]
         return Patch(tuple(added), tuple(removed)), messages, boots, quit_requested, new_interests
 
@@ -358,7 +362,15 @@ class Dataspace:
         synthetic initial patch of already-present matching values, which is
         delivered before the turn's regular patch. It lists them in bag
         order: the order in which they last became present.
+
+        After every turn each visible set is exactly the present values its
+        actor's patterns match. Only the acting actor's patterns change in a
+        turn, and `_apply` trims that actor's set when the turn, taken as a
+        whole, took away one of its interests. So a turn with an empty patch
+        and no new interest routes nothing.
         """
+        if not (patch.added or patch.removed or new_interests):
+            return []
         fresh: dict = {}
         for aid, p in new_interests:
             fresh.setdefault(aid, []).append(p)
@@ -366,7 +378,6 @@ class Dataspace:
         for aid in self.actors:
             pats = [e.pattern for e in self.interests[aid].values()]
             vis = self.visible[aid]
-            vis = {v for v in vis if any(match(p, v) is not None for p in pats)}
             f_removed = tuple(v for v in patch.removed if v in vis)
             f_added = tuple(
                 v
@@ -382,9 +393,9 @@ class Dataspace:
             )
             if init_added:
                 out.append((aid, PatchEvent(Patch(init_added, ()))))
-                vis |= set(init_added)
+                vis.update(init_added)
             if f_added or f_removed:
                 out.append((aid, PatchEvent(Patch(f_added, f_removed))))
-                vis = (vis - set(f_removed)) | set(f_added)
-            self.visible[aid] = vis
+                vis.difference_update(f_removed)
+                vis.update(f_added)
         return out

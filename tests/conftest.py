@@ -1,7 +1,15 @@
 """Shared test helpers: externally driven puppet actors and event recorders."""
 
+import os
+
+from hypothesis import settings
+
 from facetspace import Dataspace, cap, lit, rec, rpat, sym
 from facetspace.dataspace import Assert, MessageEvent, PatchEvent
+
+# HYPOTHESIS_PROFILE=ci runs every property deeper, with a fixed seed.
+settings.register_profile("ci", derandomize=True, max_examples=300)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def named_puppet_boot(name: str):

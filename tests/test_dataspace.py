@@ -1,6 +1,8 @@
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import drive_cmd, named_puppet_boot, spawn_recorder
 from facetspace import Dataspace, cap, rec, rpat, sym
@@ -17,7 +19,7 @@ from facetspace.dataspace import (
     render_action,
     render_event,
 )
-from facetspace.values import lit, message_interest, observe
+from facetspace.values import lit, match, message_interest, observe
 
 CELL = rpat("cell", cap("k"))
 
@@ -292,3 +294,247 @@ def test_render_event_and_action_forms():
     assert render_event(ev) == "(patch (added (a 1)) (removed (b 2)))"
     assert render_action(Quit()) == "(quit)"
     assert render_action(Message(rec("m", 1))) == "(send (m 1))"
+
+
+# ---------------------------------------------------------------------------
+# incremental visible sets
+
+LOW = lit(rec("cell", 1))  # overlaps CELL on (cell 1)
+OTHER = rpat("other", cap("k"))
+
+
+class Poked:
+    """Raw runtime that takes one queued action batch per (poke <name>)
+    message and records every patch it receives, in delivery order."""
+
+    def __init__(self, name):
+        self.name = name
+        self.batches = []
+        self.events = []
+
+    def handle_event(self, event):
+        if isinstance(event, BootEvent):
+            return [Assert(message_interest(lit(rec("poke", sym(self.name)))))]
+        if isinstance(event, MessageEvent):
+            return self.batches.pop(0)
+        for v in event.patch.added:
+            self.events.append(("+", v))
+        for v in event.patch.removed:
+            self.events.append(("-", v))
+        return []
+
+
+def poke(ds, puppet, *actions):
+    """Run one turn of `puppet` emitting `actions`, then reach quiescence."""
+    puppet.batches.append(list(actions))
+    ds.inject_message(rec("poke", sym(puppet.name)))
+    ds.run_until_quiescent()
+
+
+def spawn_poked(ds, *names):
+    puppets = [Poked(n) for n in names]
+    aids = [ds.spawn(p) for p in puppets]
+    ds.run_until_quiescent()
+    return puppets, aids
+
+
+def assert_visible_matches_patterns(ds):
+    """After a turn, each visible set is exactly the present values its
+    actor's current patterns match."""
+    for aid, table in ds.interests.items():
+        pats = [e.pattern for e in table.values()]
+        expect = {v for v in ds.bag if any(match(p, v) is not None for p in pats)}
+        assert ds.visible[aid] == expect, aid
+
+
+def test_reasserting_a_shared_interest_gets_a_second_initial_patch():
+    # a's retraction leaves the bag unchanged (b holds the same interest), so
+    # the turn routes nothing; a's visible set must still forget the values
+    ds = Dataspace()
+    (a, b, h), (aid, _, _) = spawn_poked(ds, "a", "b", "h")
+    poke(ds, h, Assert(rec("cell", 1)), Assert(rec("cell", 2)))
+    poke(ds, b, Assert(observe(CELL)))
+    poke(ds, a, Assert(observe(CELL)))
+    poke(ds, a, Retract(observe(CELL)))
+    assert ds.visible[aid] == set()
+    poke(ds, a, Assert(observe(CELL)))
+    both = [("+", rec("cell", 1)), ("+", rec("cell", 2))]
+    assert a.events == both + both
+    assert_visible_matches_patterns(ds)
+
+
+def test_same_turn_retract_and_reassert_keeps_visible_values():
+    # the net change over the turn decides: CELL is kept, so (cell 1) stays
+    # visible without a second initial patch and its removal is still heard;
+    # OTHER is lost (b holds it too, so the bag does not change) and (other 1)
+    # is forgotten
+    ds = Dataspace()
+    (a, b, h), (aid, _, _) = spawn_poked(ds, "a", "b", "h")
+    poke(ds, h, Assert(rec("cell", 1)), Assert(rec("other", 1)))
+    poke(ds, b, Assert(observe(OTHER)))
+    poke(ds, a, Assert(observe(CELL)), Assert(observe(OTHER)))
+    assert ds.visible[aid] == {rec("cell", 1), rec("other", 1)}
+    seen = list(a.events)
+    poke(ds, a, Retract(observe(CELL)), Retract(observe(OTHER)), Assert(observe(CELL)))
+    assert a.events == seen
+    assert ds.visible[aid] == {rec("cell", 1)}
+    assert_visible_matches_patterns(ds)
+    poke(ds, h, Retract(rec("cell", 1)), Retract(rec("other", 1)))
+    assert a.events == seen + [("-", rec("cell", 1))]
+
+
+def test_turn_without_actions_routes_nothing():
+    ds = Dataspace()
+    (a, b, h), (aid, bid, _) = spawn_poked(ds, "a", "b", "h")
+    poke(ds, h, Assert(rec("cell", 1)), Assert(rec("cell", 2)))
+    poke(ds, a, Assert(observe(CELL)), Assert(observe(LOW)))
+    poke(ds, b, Assert(observe(CELL)))
+    poke(ds, a, Retract(observe(CELL)))
+    before = {k: set(vis) for k, vis in ds.visible.items()}
+    a.batches.append([])
+    ds.inject_message(rec("poke", sym("a")))
+    record = ds.run_turn()
+    assert record.actor == aid and record.actions == []
+    assert not ds.pending()
+    assert ds.visible == before
+    assert_visible_matches_patterns(ds)
+    assert ds.visible[aid] == {rec("cell", 1)} and len(ds.visible[bid]) == 2
+
+
+def test_dropping_one_of_two_overlapping_interests_keeps_what_the_other_matches():
+    ds = Dataspace()
+    (a, b, h), (aid, _, _) = spawn_poked(ds, "a", "b", "h")
+    poke(ds, h, Assert(rec("cell", 1)), Assert(rec("cell", 2)))
+    poke(ds, b, Assert(observe(CELL)))
+    poke(ds, a, Assert(observe(CELL)), Assert(observe(LOW)))
+    poke(ds, a, Retract(observe(CELL)))
+    assert ds.visible[aid] == {rec("cell", 1)}
+    assert_visible_matches_patterns(ds)
+    seen = list(a.events)
+    poke(ds, h, Retract(rec("cell", 2)))
+    assert a.events == seen  # (cell 2) was forgotten with CELL
+    poke(ds, h, Retract(rec("cell", 1)))
+    assert a.events == seen + [("-", rec("cell", 1))]
+
+
+def test_quitting_actor_leaves_no_queue_entry():
+    # it observes its own assertion and message, so the turn routes both to
+    # it before it goes; neither may stay queued
+    ds = Dataspace()
+    r = spawn_recorder(ds, CELL)
+    ds.run_until_quiescent()
+    quitter = Scripted(
+        [
+            Assert(observe(CELL)),
+            Assert(message_interest(lit(rec("ping")))),
+            Assert(rec("cell", 5)),
+            Message(rec("ping")),
+            Quit(),
+        ]
+    )
+    aid = ds.spawn(quitter)
+    ds.run_turn()
+    assert_forgotten(ds, aid)
+    assert all(a != aid for a, _ in ds.queue)
+    ds.run_until_quiescent()
+    assert len(quitter.seen) == 1
+    assert r.events == [("+", rec("cell", 5)), ("-", rec("cell", 5))]
+
+
+# ---------------------------------------------------------------------------
+# routing property: incremental visible sets against a per-turn re-filter
+
+
+class RefilterEveryTurn(Dataspace):
+    """Reference routing: no trim in `_apply`, no early return; every turn
+    re-filters every actor's visible set against its current patterns."""
+
+    def _apply(self, aid, actions):
+        vis = set(self.visible[aid])
+        out = super()._apply(aid, actions)
+        self.visible[aid] = vis  # _patch_deliveries re-filters it instead
+        return out
+
+    def _patch_deliveries(self, patch, new_interests):
+        fresh: dict = {}
+        for aid, p in new_interests:
+            fresh.setdefault(aid, []).append(p)
+        out = []
+        for aid in self.actors:
+            pats = [e.pattern for e in self.interests[aid].values()]
+            vis = self.visible[aid]
+            vis = {v for v in vis if any(match(p, v) is not None for p in pats)}
+            f_removed = tuple(v for v in patch.removed if v in vis)
+            f_added = tuple(
+                v
+                for v in patch.added
+                if v not in vis and any(match(p, v) is not None for p in pats)
+            )
+            init_added = tuple(
+                v
+                for v in self.bag
+                if v not in vis
+                and v not in f_added
+                and any(match(p, v) is not None for p in fresh.get(aid, []))
+            )
+            if init_added:
+                out.append((aid, PatchEvent(Patch(init_added, ()))))
+                vis |= set(init_added)
+            if f_added or f_removed:
+                out.append((aid, PatchEvent(Patch(f_added, f_removed))))
+                vis = (vis - set(f_removed)) | set(f_added)
+            self.visible[aid] = vis
+        return out
+
+
+CRASH = "crash"
+
+
+class Chaos(Poked):
+    """A `Poked` puppet that crashes on a batch holding CRASH and keeps the
+    rendered text of every event it receives."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.seen = []
+
+    def handle_event(self, event):
+        self.seen.append(render_event(event))
+        if isinstance(event, MessageEvent) and CRASH in self.batches[0]:
+            raise RuntimeError("crash on request")
+        return super().handle_event(event)
+
+
+_SHARED = [observe(CELL), observe(LOW)]
+_action = st.sampled_from(
+    [Assert(rec("cell", k)) for k in range(3)]
+    + [Retract(rec("cell", k)) for k in range(3)]
+    + [Assert(v) for v in _SHARED]
+    + [Retract(v) for v in _SHARED]
+    + [Quit(), CRASH]
+)
+_schedule = st.lists(st.tuples(st.integers(0, 2), st.lists(_action, max_size=4)), max_size=30)
+
+
+def _play(ds_class, schedule):
+    """Poke puppet i with each batch in turn; a dead puppet's slot gets a
+    fresh puppet first. Returns the JSONL trace and what each puppet saw."""
+    sink = io.StringIO()
+    ds = ds_class(trace_sink=sink)
+    slots = [None, None, None]
+    puppets = []
+    for i, batch in schedule:
+        if slots[i] is None or not ds.is_alive(slots[i][1]):
+            p = Chaos("p%d" % len(puppets))
+            puppets.append(p)
+            slots[i] = (p, ds.spawn(p))
+            ds.run_until_quiescent()
+        poke(ds, slots[i][0], *batch)
+        assert_visible_matches_patterns(ds)
+    return sink.getvalue(), [p.seen for p in puppets]
+
+
+@settings(deadline=None)
+@given(_schedule)
+def test_incremental_routing_matches_per_turn_refilter(schedule):
+    assert _play(Dataspace, schedule) == _play(RefilterEveryTurn, schedule)
