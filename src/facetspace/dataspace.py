@@ -136,14 +136,6 @@ class TurnRecord:
 # ---------------------------------------------------------------------------
 # Dataspace
 
-class _Interest:
-    __slots__ = ("count", "pattern")
-
-    def __init__(self, pattern):
-        self.count = 0
-        self.pattern = pattern
-
-
 class Dataspace:
     """A dataspace and its deterministic FIFO turn scheduler.
 
@@ -156,9 +148,9 @@ class Dataspace:
         # Only live state: every bag entry has a holder, and a terminated
         # actor leaves no key behind. Actor ids only grow, so the actor
         # tables iterate in ascending id order.
-        self.bag: dict = {}  # present Value -> {actor id -> count > 0}
+        self.bag: dict = {}  # present Value -> {actor id -> count > 0}: the only counts
         self.actors: dict = {}  # live actor id -> runtime
-        self.interests: dict = {}  # actor id -> {observe Value -> _Interest}
+        self.interests: dict = {}  # actor id -> {observe Value it holds -> decoded Pattern}
         self.visible: dict = {}  # actor id -> set of Values notified present
         self.queue: deque = deque()
         self.trace: list = []
@@ -166,7 +158,6 @@ class Dataspace:
         self.timer_registry = None
         self._next_actor = 0
         self._next_unique = 0
-        self._turn = 0
 
     # -- allocation ---------------------------------------------------------
 
@@ -225,44 +216,34 @@ class Dataspace:
         except Exception:
             log.warning("actor %d crashed handling %s", aid, render_event(event), exc_info=True)
             crashed = True
-            actions = []
+            actions = []  # a crash is a turn with no actions that ends the actor
 
-        deliveries = []
-        if crashed:
-            patch = self._terminate(aid)
-            deliveries.extend(self._patch_deliveries(patch, []))
-        else:
-            patch, messages, boots, quit_requested, new_interests = self._apply(aid, actions)
-            deliveries.extend(self._patch_deliveries(patch, new_interests))
-            deliveries.extend(messages)
-            deliveries.extend(boots)
-            if quit_requested:
-                final_patch = self._terminate(aid)
-                deliveries = [d for d in deliveries if d[0] != aid]
-                deliveries.extend(self._patch_deliveries(final_patch, []))
-        self.queue.extend(deliveries)
+        patch, messages, boots, quit_requested, fresh = self._apply(aid, actions)
+        self.queue.extend(self._patch_deliveries(patch, fresh) + messages + boots)
+        if crashed or quit_requested:
+            # _terminate drops the actor's queued events and rebinds the queue
+            final = self._patch_deliveries(self._terminate(aid), {})
+            self.queue.extend(final)
 
-        record = TurnRecord(self._turn, aid, event, actions, crashed)
-        self._turn += 1
+        record = TurnRecord(len(self.trace), aid, event, actions, crashed)
         self.trace.append(record)
         if self.trace_sink is not None:
             self.trace_sink.write(record.to_json() + "\n")
         return record
 
     def run_until_quiescent(self, max_turns: int = 10000) -> list:
-        done = []
+        start = len(self.trace)
         while self.pending():
-            if len(done) >= max_turns:
+            if len(self.trace) - start >= max_turns:
                 raise MaxTurnsExceeded("no quiescence after %d turns" % max_turns)
-            done.append(self.run_turn())
-        return done
+            self.run_turn()
+        return self.trace[start:]
 
     # -- action application -------------------------------------------------
 
-    def _bump(self, aid, v, delta, old_totals):
+    def _bump(self, aid, v, delta, was_present):
+        was_present.setdefault(v, v in self.bag)
         per = self.bag.get(v) or {}
-        if v not in old_totals:
-            old_totals[v] = sum(per.values())
         have = per.get(aid, 0) + delta
         if have < 0:
             log.warning("actor %d retracts unheld assertion %s", aid, render(v))
@@ -274,37 +255,33 @@ class Dataspace:
             del per[aid]
             if not per:
                 del self.bag[v]
-        self._note_interest(aid, v, delta)
+        if have in (0, delta):  # the actor's first copy arrived or its last went
+            self._note_interest(aid, v, have)
 
-    def _note_interest(self, aid, v, delta):
+    def _note_interest(self, aid, v, held):
         if not (isinstance(v, Record) and v.label == OBSERVE and len(v.fields) == 1):
             return
         table = self.interests[aid]
-        entry = table.get(v)
-        if entry is None:
-            if delta < 0:
-                return
-            try:
-                pattern = decode(v.fields[0])
-            except MalformedPatternEncoding:
-                log.warning("actor %d asserted malformed interest %s", aid, render(v))
-                return
-            entry = table[v] = _Interest(pattern)
-        entry.count += delta
-        if entry.count <= 0:
-            del table[v]
+        if not held:
+            table.pop(v, None)  # a malformed interest has no entry
+            return
+        try:
+            table[v] = decode(v.fields[0])
+        except MalformedPatternEncoding:
+            log.warning("actor %d asserted malformed interest %s", aid, render(v))
 
     def _apply(self, aid, actions):
-        old_totals: dict = {}
-        interests_before = set(self.interests[aid])
+        was_present: dict = {}
+        table = self.interests[aid]
+        interests_before = set(table)
         messages = []
         boots = []
         quit_requested = False
         for a in actions:
             if isinstance(a, Assert):
-                self._bump(aid, a.v, 1, old_totals)
+                self._bump(aid, a.v, 1, was_present)
             elif isinstance(a, Retract):
-                self._bump(aid, a.v, -1, old_totals)
+                self._bump(aid, a.v, -1, was_present)
             elif isinstance(a, Message):
                 messages.extend(self._message_deliveries(a.v))
             elif isinstance(a, Spawn):
@@ -314,30 +291,22 @@ class Dataspace:
                 quit_requested = True
             else:
                 raise TypeError("not an action: %r" % (a,))
-        added, removed = [], []
-        for v, old in old_totals.items():
-            new = sum(self.bag.get(v, {}).values())
-            if old == 0 and new > 0:
-                added.append(v)
-            elif old > 0 and new == 0:
-                removed.append(v)
-        table = self.interests[aid]
+        added = tuple(v for v, was in was_present.items() if not was and v in self.bag)
+        removed = tuple(v for v, was in was_present.items() if was and v not in self.bag)
         if interests_before - table.keys():
             # net loss over the turn: forget what only the lost patterns matched
-            pats = [e.pattern for e in table.values()]
+            pats = table.values()
             self.visible[aid] = {
                 v for v in self.visible[aid] if any(match(p, v) is not None for p in pats)
             }
-        new_interests = [
-            (aid, e.pattern) for k, e in table.items() if k not in interests_before
-        ]
-        return Patch(tuple(added), tuple(removed)), messages, boots, quit_requested, new_interests
+        fresh = [p for k, p in table.items() if k not in interests_before]
+        return Patch(added, removed), messages, boots, quit_requested, {aid: fresh} if fresh else {}
 
     def _message_deliveries(self, v):
         wrapper = Record(MESSAGE, (v,))
         out = []
         for aid, table in self.interests.items():
-            if any(match(e.pattern, wrapper) is not None for e in table.values()):
+            if any(match(p, wrapper) is not None for p in table.values()):
                 out.append((aid, MessageEvent(v)))
         return out
 
@@ -354,14 +323,16 @@ class Dataspace:
 
     # -- routing ------------------------------------------------------------
 
-    def _patch_deliveries(self, patch: Patch, new_interests) -> list:
+    def _patch_deliveries(self, patch: Patch, fresh: dict) -> list:
         """Per-actor filtered patch events for one turn's global patch.
 
         Each actor's visible set enforces the per-observer alternation of
-        appearance/disappearance notifications; new interests trigger a
-        synthetic initial patch of already-present matching values, which is
-        delivered before the turn's regular patch. It lists them in bag
-        order: the order in which they last became present.
+        appearance/disappearance notifications; `fresh` maps an actor to the
+        patterns it gained this turn, which trigger a synthetic initial patch
+        of already-present matching values, delivered before the turn's
+        regular patch. It lists them in bag order: the order in which they
+        last became present. An actor's patterns are its `interests` values,
+        one per observe value it holds; how many copies it holds is in the bag.
 
         After every turn each visible set is exactly the present values its
         actor's patterns match. Only the acting actor's patterns change in a
@@ -369,14 +340,11 @@ class Dataspace:
         whole, took away one of its interests. So a turn with an empty patch
         and no new interest routes nothing.
         """
-        if not (patch.added or patch.removed or new_interests):
+        if not (patch.added or patch.removed or fresh):
             return []
-        fresh: dict = {}
-        for aid, p in new_interests:
-            fresh.setdefault(aid, []).append(p)
         out = []
-        for aid in self.actors:
-            pats = [e.pattern for e in self.interests[aid].values()]
+        for aid, table in self.interests.items():
+            pats = table.values()
             vis = self.visible[aid]
             f_removed = tuple(v for v in patch.removed if v in vis)
             f_added = tuple(

@@ -42,14 +42,13 @@ class Clock:
 
 
 class _TimerEntry:
-    __slots__ = ("tid", "deadline", "facet", "fired", "seq")
+    __slots__ = ("tid", "deadline", "facet", "fired")
 
-    def __init__(self, tid, deadline, facet, seq):
+    def __init__(self, tid, deadline, facet):
         self.tid = tid
         self.deadline = deadline
         self.facet = facet
         self.fired = False
-        self.seq = seq
 
 
 _TICK = rpat("clock-tick", cap("now"))
@@ -58,7 +57,6 @@ _REQUEST = rpat("set-timer", cap("id"), cap("delay"))
 
 def timer_driver_boot(clock: Clock, registry: list):
     """Boot body for the timer driver; uses only the public facet API."""
-    seq_counter = [0]
 
     def boot(f):
         def request_body(cf, b):
@@ -66,8 +64,7 @@ def timer_driver_boot(clock: Clock, registry: list):
             if not isinstance(delay, Integer) or delay.n <= 0:
                 log.warning("timer request ignored: bad delay %r", delay)
                 return
-            entry = _TimerEntry(b["id"], clock.now + delay.n, cf, seq_counter[0])
-            seq_counter[0] += 1
+            entry = _TimerEntry(b["id"], clock.now + delay.n, cf)
             registry.append(entry)
             cf.on_stop(lambda _f: registry.remove(entry))
 
@@ -75,9 +72,10 @@ def timer_driver_boot(clock: Clock, registry: list):
 
         def on_tick(hf, b):
             now = b["now"].n
+            # the registry is in the order timers were set, and sorted() is stable
             due = sorted(
                 (e for e in registry if not e.fired and e.deadline <= now),
-                key=lambda e: (e.deadline, e.seq),
+                key=lambda e: e.deadline,
             )
             for e in due:
                 e.fired = True

@@ -248,10 +248,17 @@ def test_run_until_quiescent_turn_limit():
 
 
 def test_malformed_interest_warns(caplog):
+    # once per first copy: a second copy held alongside does not warn again
+    bad = rec("observe", rec("capture", 3))
     ds = Dataspace()
-    ds.spawn(Scripted([Assert(rec("observe", rec("capture", 3)))]))
-    ds.run_until_quiescent()
-    assert "malformed interest" in caplog.text
+    (a,), (aid,) = spawn_poked(ds, "a")
+    poke(ds, a, Assert(bad))
+    poke(ds, a, Assert(bad))
+    assert caplog.text.count("malformed interest") == 1
+    assert ds.bag[bad] == {aid: 2} and bad not in ds.interests[aid]
+    poke(ds, a, Retract(bad), Retract(bad))
+    poke(ds, a, Assert(bad))
+    assert caplog.text.count("malformed interest") == 2
 
 
 def test_query_in_insertion_order():
@@ -342,7 +349,7 @@ def assert_visible_matches_patterns(ds):
     """After a turn, each visible set is exactly the present values its
     actor's current patterns match."""
     for aid, table in ds.interests.items():
-        pats = [e.pattern for e in table.values()]
+        pats = table.values()
         expect = {v for v in ds.bag if any(match(p, v) is not None for p in pats)}
         assert ds.visible[aid] == expect, aid
 
@@ -417,6 +424,29 @@ def test_dropping_one_of_two_overlapping_interests_keeps_what_the_other_matches(
     assert a.events == seen + [("-", rec("cell", 1))]
 
 
+def test_an_interest_held_twice_lasts_until_its_last_copy_goes():
+    # the bag alone counts the copies: one initial patch, removals heard while
+    # a copy is left, and nothing routed once the last one goes
+    ds = Dataspace()
+    (a, h), (aid, hid) = spawn_poked(ds, "a", "h")
+    poke(ds, h, Assert(rec("cell", 1)), Assert(rec("cell", 2)), Assert(rec("cell", 3)))
+    poke(ds, a, Assert(observe(CELL)))
+    poke(ds, a, Assert(observe(CELL)))
+    initial = [("+", rec("cell", k)) for k in (1, 2, 3)]
+    assert a.events == initial
+    assert ds.bag[observe(CELL)] == {aid: 2}
+    poke(ds, a, Retract(observe(CELL)))
+    poke(ds, h, Retract(rec("cell", 1)))
+    assert a.events == initial + [("-", rec("cell", 1))]
+    poke(ds, a, Retract(observe(CELL)))
+    assert ds.visible[aid] == set() and observe(CELL) not in ds.interests[aid]
+    turns = len(ds.trace)
+    poke(ds, h, Retract(rec("cell", 2)), Assert(rec("cell", 4)))
+    assert a.events == initial + [("-", rec("cell", 1))]
+    assert [r.actor for r in ds.trace[turns:]] == [hid]
+    assert ds.visible[aid] == set()
+
+
 def test_quitting_actor_leaves_no_queue_entry():
     # it observes its own assertion and message, so the turn routes both to
     # it before it goes; neither may stay queued
@@ -455,13 +485,10 @@ class RefilterEveryTurn(Dataspace):
         self.visible[aid] = vis  # _patch_deliveries re-filters it instead
         return out
 
-    def _patch_deliveries(self, patch, new_interests):
-        fresh: dict = {}
-        for aid, p in new_interests:
-            fresh.setdefault(aid, []).append(p)
+    def _patch_deliveries(self, patch, fresh):
         out = []
         for aid in self.actors:
-            pats = [e.pattern for e in self.interests[aid].values()]
+            pats = list(self.interests[aid].values())
             vis = self.visible[aid]
             vis = {v for v in vis if any(match(p, v) is not None for p in pats)}
             f_removed = tuple(v for v in patch.removed if v in vis)

@@ -56,6 +56,31 @@ def test_timers_fire_in_deadline_order():
     assert fired == [t_early, t_late]
 
 
+def test_timers_due_together_fire_in_the_order_they_were_set():
+    # set at different times for one deadline, after an earlier timer for
+    # that deadline was set and cancelled; ids run against the set order
+    ds = setup_ds()
+    fired = []
+
+    def watcher(f):
+        f.on_asserted(rpat("timer-expired", cap("id")), lambda hf, b: fired.append(b["id"]))
+
+    ds.spawn(watcher)
+    ds.run_until_quiescent()
+    t_cancelled = set_timer(ds, 9, 300)
+    t_first = set_timer(ds, 8, 300)
+    advance_virtual_time(ds, 100)
+    t_second = set_timer(ds, 7, 200)
+    ds.inject_message(drive_cmd("a", "do-retract", rec("set-timer", t_cancelled, 300)))
+    ds.run_until_quiescent()
+    advance_virtual_time(ds, 50)
+    t_third = set_timer(ds, 6, 150)
+    advance_virtual_time(ds, 149)
+    assert fired == []
+    advance_virtual_time(ds, 1)
+    assert fired == [t_first, t_second, t_third]
+
+
 def test_retracting_request_cancels_timer():
     ds = setup_ds()
     r = spawn_recorder(ds, rpat("timer-expired", cap("id")))

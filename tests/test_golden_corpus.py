@@ -23,7 +23,9 @@ def test_golden_digests_in_process():
 
 def test_golden_digests_in_perturbed_child():
     src = str(Path(facetspace.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONHASHSEED="4242", PYTHONPATH=os.pathsep.join([src, str(DIGESTS.parent)]))
+    # keep the inherited path: test dependencies may come through it
+    path = [src, str(DIGESTS.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONHASHSEED="4242", PYTHONPATH=os.pathsep.join(filter(None, path)))
     out = subprocess.run(
         [sys.executable, str(DIGESTS.with_name("golden_corpus.py"))],
         env=env, capture_output=True, text=True, timeout=120, check=True,
