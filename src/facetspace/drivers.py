@@ -41,22 +41,14 @@ class Clock:
         return self._now
 
 
-class _TimerEntry:
-    __slots__ = ("tid", "deadline", "facet", "fired")
-
-    def __init__(self, tid, deadline, facet):
-        self.tid = tid
-        self.deadline = deadline
-        self.facet = facet
-        self.fired = False
-
-
 _TICK = rpat("clock-tick", cap("now"))
 _REQUEST = rpat("set-timer", cap("id"), cap("delay"))
 
 
 def timer_driver_boot(clock: Clock, registry: list):
-    """Boot body for the timer driver; uses only the public facet API."""
+    """Boot body for the timer driver; uses only the public facet API.
+    ``registry`` holds pending timers as (deadline, id, request facet) in the
+    order they were set; one leaves when it fires or when its request goes."""
 
     def boot(f):
         def request_body(cf, b):
@@ -64,22 +56,24 @@ def timer_driver_boot(clock: Clock, registry: list):
             if not isinstance(delay, Integer) or delay.n <= 0:
                 log.warning("timer request ignored: bad delay %r", delay)
                 return
-            entry = _TimerEntry(b["id"], clock.now + delay.n, cf)
+            entry = (clock.now + delay.n, b["id"], cf)
             registry.append(entry)
-            cf.on_stop(lambda _f: registry.remove(entry))
+
+            def cancel(_f):
+                if entry in registry:
+                    registry.remove(entry)
+
+            cf.on_stop(cancel)
 
         during(f, _REQUEST, request_body)
 
         def on_tick(hf, b):
             now = b["now"].n
             # the registry is in the order timers were set, and sorted() is stable
-            due = sorted(
-                (e for e in registry if not e.fired and e.deadline <= now),
-                key=lambda e: e.deadline,
-            )
-            for e in due:
-                e.fired = True
-                e.facet.react(lambda cf, e=e: cf.publish(rec("timer-expired", e.tid)))
+            due = sorted((e for e in registry if e[0] <= now), key=lambda e: e[0])
+            registry[:] = [e for e in registry if e[0] > now]
+            for _deadline, tid, facet in due:
+                facet.react(lambda cf, tid=tid: cf.publish(rec("timer-expired", tid)))
 
         f.on_message(_TICK, on_tick)
 
@@ -108,10 +102,10 @@ def advance_virtual_time(ds, delta_ms: int, max_turns: int = 100000):
         raise NotQuiescent("dataspace has undelivered events")
     target = clock._now + delta_ms
     while True:
-        due = [e for e in ds.timer_registry if not e.fired and e.deadline <= target]
+        due = [deadline for deadline, _tid, _facet in ds.timer_registry if deadline <= target]
         if not due:
             break
-        clock._now = max(clock._now, min(e.deadline for e in due))
+        clock._now = max(clock._now, min(due))
         ds.inject_message(rec("clock-tick", clock._now))
         ds.run_until_quiescent(max_turns)
     clock._now = target

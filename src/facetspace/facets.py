@@ -82,11 +82,15 @@ class AssertEndpoint:
         self.read_fields = set()
         self.recompute_count = 0
 
-    def evaluate(self):
-        actor = self.facet.actor
+    def drop_reads(self):
+        """Leave the dependents of every field the last evaluation read."""
         for f in self.read_fields:
             f.dependents.pop(self, None)
         self.read_fields = set()
+
+    def evaluate(self):
+        actor = self.facet.actor
+        self.drop_reads()
         prev = actor._evaluating
         actor._evaluating = self
         try:
@@ -121,7 +125,6 @@ class Facet:
         self.parent = parent
         self.children = []
         self.endpoints = []
-        self.fields = []
         self.start_handlers = []
         self.stop_handlers = []
         self.alive = True
@@ -136,9 +139,7 @@ class Facet:
 
     def field(self, initial) -> Field:
         self._require_alive()
-        f = Field(self.actor, self, initial)
-        self.fields.append(f)
-        return f
+        return Field(self.actor, self, initial)
 
     def publish(self, spec) -> AssertEndpoint:
         """Add an assertion endpoint. A callable spec participates in
@@ -295,6 +296,7 @@ class Actor:
         while self._dirty:
             ep = next(iter(self._dirty))
             del self._dirty[ep]
+            # marked dirty earlier in a turn in which its facet then stopped
             if not ep.facet.alive:
                 continue
             new = ep.evaluate()
@@ -322,6 +324,7 @@ class Actor:
             f.alive = False
             for ep in f.endpoints:
                 if isinstance(ep, AssertEndpoint):
+                    ep.drop_reads()
                     self._emit(Retract(ep.current))
                 else:
                     self._emit(Retract(ep.interest))

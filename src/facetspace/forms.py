@@ -64,6 +64,7 @@ def state_machine(f: Facet, name: str, states) -> Callable:
     table = dict(states)
     if len(table) != len(states):
         raise ValueError("duplicate state label in machine %r" % name)
+    arity = {label: _state_arity(fn) for label, fn in states}
     current = {}
 
     def run_state(label, args):
@@ -78,7 +79,7 @@ def state_machine(f: Facet, name: str, states) -> Callable:
     def goto(label, *args):
         if label not in table:
             raise UnknownLabel("%s has no state %r" % (name, label))
-        want = _state_arity(table[label])
+        want = arity[label]
         if want is not None and want != len(args):
             raise ArityMismatch(
                 "%s: goto %r with %d args, state takes %d" % (name, label, len(args), want)

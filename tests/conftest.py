@@ -39,15 +39,6 @@ def named_puppet_boot(name: str):
     return boot
 
 
-def republish_boot(f):
-    """One field read by twelve computed assertions; each (bump) message
-    writes it once."""
-    x = f.field(0)
-    for i in range(12):
-        f.publish(lambda i=i: rec("cell", i, x()))
-    f.on_message(rpat("bump"), lambda hf, _b: x(x() + 1))
-
-
 def drive_cmd(name, label, *fields):
     return rec("drive", sym(name), rec(label, *fields))
 

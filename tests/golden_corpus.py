@@ -17,7 +17,6 @@ import sys
 from io import StringIO
 from pathlib import Path
 
-from conftest import republish_boot
 from facetspace import Dataspace, cap, lit, rec, rpat
 from facetspace.expansions import check_form
 from facetspace.market import bank_account_boot, default_config, parse_script, run_scenario
@@ -134,6 +133,15 @@ def ledger_run(seed: int) -> str:
         ds.inject_message(rec("deposit", rec("acct", rng.randrange(4)), rng.randrange(1, 50)))
         ds.run_until_quiescent()
     return sink.getvalue()
+
+
+def republish_boot(f):
+    """One field read by twelve computed assertions; each (bump) message
+    writes it once."""
+    x = f.field(0)
+    for i in range(12):
+        f.publish(lambda i=i: rec("cell", i, x()))
+    f.on_message(rpat("bump"), lambda hf, _b: x(x() + 1))
 
 
 def republish_run() -> str:

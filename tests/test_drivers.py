@@ -93,6 +93,19 @@ def test_retracting_request_cancels_timer():
     assert ds.timer_registry == []
 
 
+def test_fired_timer_leaves_the_registry():
+    ds = setup_ds()
+    fired = set_timer(ds, 10, 50)
+    set_timer(ds, 11, 100)
+    advance_virtual_time(ds, 60)
+    # the request for the fired timer is still asserted
+    assert ds.query(rpat("set-timer", lit(fired), cap("delay"))) == [rec("set-timer", fired, 50)]
+    assert len(ds.timer_registry) == 1
+    advance_virtual_time(ds, 40)
+    assert ds.timer_registry == []
+    assert len(ds.query(rpat("timer-expired", cap("id")))) == 2
+
+
 def test_expiry_retracted_with_request():
     ds = setup_ds()
     r = spawn_recorder(ds, rpat("timer-expired", cap("id")))

@@ -1,10 +1,11 @@
 import pytest
 
-from conftest import drive_cmd, named_puppet_boot, republish_boot, spawn_recorder
+from conftest import drive_cmd, named_puppet_boot, spawn_recorder
 from facetspace import Dataspace, cap, lit, rec, rpat, sym
 from facetspace.dataspace import Assert
 from facetspace.facets import DeadFieldAccess, OutsideFacetContext, render_tree
 from facetspace.market import bank_account_boot
+from golden_corpus import republish_boot
 
 
 def quiesce(ds):
@@ -58,6 +59,37 @@ def test_field_dataflow_retract_assert_pair():
     assert last.added == (rec("balance", 130),)
     assert last.removed == (rec("balance", 100),)
     assert cell["ep"].recompute_count == 2
+
+
+def test_stopped_facets_leave_the_fields_they_read():
+    ds = Dataspace()
+    cell = {}
+
+    def boot(f):
+        x = cell["x"] = f.field(0)
+        cell["live"] = f.publish(lambda: rec("total", x()))
+        cell["base"] = len(x.dependents)
+        parts = cell["parts"] = []
+        kids = [
+            f.react(lambda cf, i=i: parts.append(cf.publish(lambda: rec("part", i, x()))))
+            for i in range(100)
+        ]
+        f.on_message(rpat("stop-parts"), lambda hf, _b: [hf.stop(k) for k in kids])
+        f.on_message(rpat("bump"), lambda hf, _b: x(x() + 1))
+
+    ds.spawn(boot)
+    quiesce(ds)
+    x = cell["x"]
+    assert len(x.dependents) == cell["base"] + 100
+    ds.inject_message(rec("stop-parts"))
+    quiesce(ds)
+    assert len(x.dependents) == cell["base"]
+    ds.inject_message(rec("bump"))
+    quiesce(ds)
+    assert cell["live"].recompute_count == 2
+    assert [ep.recompute_count for ep in cell["parts"]] == [1] * 100
+    assert ds.query(rpat("total", cap("n"))) == [rec("total", 1)]
+    assert ds.query(rpat("part", cap("i"), cap("n"))) == []
 
 
 def test_field_write_without_change_still_recomputes_but_no_patch():

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import drive_cmd, named_puppet_boot, spawn_recorder
-from facetspace import Dataspace, cap, lit, rec, rpat, sym
+from facetspace import Dataspace, cap, forms, lit, rec, rpat, sym
 from facetspace.drivers import Clock, advance_virtual_time, spawn_timer_driver
 from facetspace.forms import (
     ArityMismatch,
@@ -158,6 +158,40 @@ def test_state_machine_bad_goto():
     ds.spawn(boot)
     quiesce(ds)
     assert "label" in errors and "arity" in errors
+
+
+def test_state_machine_reads_state_arities_when_built(monkeypatch):
+    ds = Dataspace()
+    errors = []
+
+    def boot(f):
+        def one(sf):
+            sf.on_message(rpat("go", cap("n")), lambda hf, b: go(b["n"].n))
+
+        def two(sf, n):
+            sf.publish(rec("state", sym("two"), n))
+
+        goto = state_machine(f, "m", [("one", one), ("two", two)])
+
+        def go(n):
+            try:
+                goto("two", *[0] * n)
+            except ArityMismatch as e:
+                errors.append(e)
+
+    ds.spawn(boot)
+    quiesce(ds)
+
+    def no_signature(fn):
+        raise AssertionError("goto inspected %r" % fn)
+
+    monkeypatch.setattr(forms.inspect, "signature", no_signature)
+    ds.inject_message(rec("go", 2))
+    quiesce(ds)
+    assert len(errors) == 1
+    ds.inject_message(rec("go", 1))
+    quiesce(ds)
+    assert ds.query(rpat("state", cap("l"), cap("n"))) == [rec("state", sym("two"), 0)]
 
 
 def test_state_machine_duplicate_labels_rejected():

@@ -1,6 +1,8 @@
 """Replay guard: the golden corpus must reproduce its committed trace
 digests, in this process and in a child process whose hash seed and heap
-layout differ (criterion 10 only compares runs within one process)."""
+layout differ (criterion 10 only compares runs within one process). The
+child cannot import ``hypothesis``, so the corpus runs without the test
+dependencies."""
 
 import json
 import os
@@ -23,11 +25,15 @@ def test_golden_digests_in_process():
 
 def test_golden_digests_in_perturbed_child():
     src = str(Path(facetspace.__file__).resolve().parents[1])
-    # keep the inherited path: test dependencies may come through it
-    path = [src, str(DIGESTS.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONHASHSEED="4242", PYTHONPATH=os.pathsep.join(filter(None, path)))
+    path = os.pathsep.join([src, str(DIGESTS.parent)])
+    env = dict(os.environ, PYTHONHASHSEED="4242", PYTHONPATH=path)
+    script = str(DIGESTS.with_name("golden_corpus.py"))
+    prelude = (
+        'import runpy, sys; sys.modules["hypothesis"] = None; '
+        'runpy.run_path(sys.argv.pop(1), run_name="__main__")'
+    )
     out = subprocess.run(
-        [sys.executable, str(DIGESTS.with_name("golden_corpus.py"))],
+        [sys.executable, "-c", prelude, script],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert _mismatches(json.loads(out.stdout)) == []
