@@ -21,6 +21,7 @@ from .values import (
     Pattern,
     Record,
     Value,
+    _Value,
     decode,
     match,
     render,
@@ -151,7 +152,6 @@ class Dataspace:
         self.bag: dict = {}  # present Value -> {actor id -> count > 0}: the only counts
         self.actors: dict = {}  # live actor id -> runtime
         self.interests: dict = {}  # actor id -> {observe Value it holds -> decoded Pattern}
-        self.visible: dict = {}  # actor id -> set of Values notified present
         self.queue: deque = deque()
         self.trace: list = []
         self.clock = None  # installed by the timer driver, if any
@@ -173,7 +173,6 @@ class Dataspace:
         self._next_actor += 1
         self.actors[aid] = self._make_runtime(aid, boot)
         self.interests[aid] = {}
-        self.visible[aid] = set()
         self.queue.append((aid, BootEvent()))
         return aid
 
@@ -213,16 +212,19 @@ class Dataspace:
         crashed = False
         try:
             actions = list(runtime.handle_event(event))
+            for a in actions:
+                if not _well_formed(a):
+                    raise TypeError("malformed action: %r" % (a,))
         except Exception:
             log.warning("actor %d crashed handling %s", aid, render_event(event), exc_info=True)
             crashed = True
             actions = []  # a crash is a turn with no actions that ends the actor
 
-        patch, messages, boots, quit_requested, fresh = self._apply(aid, actions)
-        self.queue.extend(self._patch_deliveries(patch, fresh) + messages + boots)
+        patch, messages, boots, quit_requested, before = self._apply(aid, actions)
+        self.queue.extend(self._patch_deliveries(patch, aid, before) + messages + boots)
         if crashed or quit_requested:
             # _terminate drops the actor's queued events and rebinds the queue
-            final = self._patch_deliveries(self._terminate(aid), {})
+            final = self._patch_deliveries(self._terminate(aid))
             self.queue.extend(final)
 
         record = TurnRecord(len(self.trace), aid, event, actions, crashed)
@@ -272,8 +274,7 @@ class Dataspace:
 
     def _apply(self, aid, actions):
         was_present: dict = {}
-        table = self.interests[aid]
-        interests_before = set(table)
+        before = dict(self.interests[aid])
         messages = []
         boots = []
         quit_requested = False
@@ -287,20 +288,11 @@ class Dataspace:
             elif isinstance(a, Spawn):
                 a.child = self.spawn(a.boot)
                 boots.append(self.queue.pop())  # re-order after patches/messages
-            elif isinstance(a, Quit):
-                quit_requested = True
             else:
-                raise TypeError("not an action: %r" % (a,))
+                quit_requested = True
         added = tuple(v for v, was in was_present.items() if not was and v in self.bag)
         removed = tuple(v for v, was in was_present.items() if was and v not in self.bag)
-        if interests_before - table.keys():
-            # net loss over the turn: forget what only the lost patterns matched
-            pats = table.values()
-            self.visible[aid] = {
-                v for v in self.visible[aid] if any(match(p, v) is not None for p in pats)
-            }
-        fresh = [p for k, p in table.items() if k not in interests_before]
-        return Patch(added, removed), messages, boots, quit_requested, {aid: fresh} if fresh else {}
+        return Patch(added, removed), messages, boots, quit_requested, before
 
     def _message_deliveries(self, v):
         wrapper = Record(MESSAGE, (v,))
@@ -317,53 +309,53 @@ class Dataspace:
             if per.pop(aid, 0) and not per:
                 del self.bag[v]
                 removed.append(v)
-        del self.actors[aid], self.interests[aid], self.visible[aid]
+        del self.actors[aid], self.interests[aid]
         self.queue = deque((a, e) for a, e in self.queue if a != aid)
         return Patch((), tuple(removed))
 
     # -- routing ------------------------------------------------------------
 
-    def _patch_deliveries(self, patch: Patch, fresh: dict) -> list:
+    def _patch_deliveries(self, patch: Patch, actor=None, before=()) -> list:
         """Per-actor filtered patch events for one turn's global patch.
 
-        Each actor's visible set enforces the per-observer alternation of
-        appearance/disappearance notifications; `fresh` maps an actor to the
-        patterns it gained this turn, which trigger a synthetic initial patch
-        of already-present matching values, delivered before the turn's
-        regular patch. It lists them in bag order: the order in which they
-        last became present. An actor's patterns are its `interests` values,
-        one per observe value it holds; how many copies it holds is in the bag.
-
-        After every turn each visible set is exactly the present values its
-        actor's patterns match. Only the acting actor's patterns change in a
-        turn, and `_apply` trims that actor's set when the turn, taken as a
-        whole, took away one of its interests. So a turn with an empty patch
-        and no new interest routes nothing.
+        What each actor was told is what its patterns match in the bag, so
+        routing keeps no record of it. Only `actor`, the one that acted, can
+        change its patterns in a turn, judged over the whole turn: `before`
+        holds them as the turn began (P0), `interests` as it ended (P1); any
+        other actor's P0 is its P1. A removed value goes out when a P0 and a
+        P1 pattern both match it, an added value when a P1 pattern does. A
+        gained pattern brings an initial patch, before the regular one, of
+        the present values, in bag order, that it matches, that the turn did
+        not add and that no P0 pattern matches. So a turn with an empty
+        patch and no gained pattern routes nothing.
         """
-        if not (patch.added or patch.removed or fresh):
+        gained = [p for k, p in self.interests.get(actor, {}).items() if k not in before]
+        if not (patch.added or patch.removed or gained):
             return []
         out = []
         for aid, table in self.interests.items():
             pats = table.values()
-            vis = self.visible[aid]
-            f_removed = tuple(v for v in patch.removed if v in vis)
-            f_added = tuple(
-                v
-                for v in patch.added
-                if v not in vis and any(match(p, v) is not None for p in pats)
-            )
+            new = old = ()
+            f_removed = tuple(v for v in patch.removed if any(match(p, v) is not None for p in pats))
+            if aid == actor:
+                new, old = gained, before.values()
+                f_removed = tuple(v for v in f_removed if any(match(p, v) is not None for p in old))
+            f_added = tuple(v for v in patch.added if any(match(p, v) is not None for p in pats))
             init_added = tuple(
                 v
                 for v in self.bag
-                if v not in vis
-                and v not in f_added
-                and any(match(p, v) is not None for p in fresh.get(aid, []))
+                if any(match(p, v) is not None for p in new)
+                and v not in patch.added
+                and not any(match(p, v) is not None for p in old)
             )
             if init_added:
                 out.append((aid, PatchEvent(Patch(init_added, ()))))
-                vis.update(init_added)
             if f_added or f_removed:
                 out.append((aid, PatchEvent(Patch(f_added, f_removed))))
-                vis.difference_update(f_removed)
-                vis.update(f_added)
         return out
+
+
+def _well_formed(a) -> bool:
+    if isinstance(a, (Assert, Retract, Message)):
+        return isinstance(a.v, _Value)
+    return isinstance(a, (Spawn, Quit))

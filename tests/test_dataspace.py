@@ -39,7 +39,7 @@ class Scripted:
 def assert_forgotten(ds, aid):
     """A terminated actor leaves no slot in any actor table."""
     assert not ds.is_alive(aid)
-    assert aid not in ds.actors and aid not in ds.interests and aid not in ds.visible
+    assert aid not in ds.actors and aid not in ds.interests
 
 
 def test_set_view_single_crossing():
@@ -145,6 +145,30 @@ def test_crash_discards_actions_and_cleans_up(caplog):
     assert r.events == [("+", rec("cell", 7)), ("-", rec("cell", 7))]
     assert ds.query(CELL) == []
     assert any(rec.crashed for rec in ds.trace)
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [[Assert(rec("cell", 1)), "junk"], [Assert(5)]],
+    ids=["non-action", "non-value"],
+)
+def test_malformed_batch_is_a_crash(batch, caplog):
+    # a raw runtime's bad batch is refused whole, before any of it applies
+    sink = io.StringIO()
+    ds = Dataspace(trace_sink=sink)
+    r = spawn_recorder(ds, CELL)
+    ds.run_until_quiescent()
+    before = {v: dict(per) for v, per in ds.bag.items()}
+    aid = ds.spawn(Scripted(batch))
+    record = ds.run_turn()
+    assert record.actor == aid and record.crashed and record.actions == []
+    assert json.loads(sink.getvalue().splitlines()[-1])["crashed"] is True
+    assert "crashed" in caplog.text
+    assert ds.bag == before
+    assert_forgotten(ds, aid)
+    ds.spawn(Scripted([Assert(rec("cell", 2))]))
+    ds.run_until_quiescent()
+    assert r.events == [("+", rec("cell", 2))]
 
 
 def test_retract_unheld_warns_and_is_ignored(caplog):
@@ -304,7 +328,7 @@ def test_render_event_and_action_forms():
 
 
 # ---------------------------------------------------------------------------
-# incremental visible sets
+# incremental routing: what each actor is told
 
 LOW = lit(rec("cell", 1))  # overlaps CELL on (cell 1)
 OTHER = rpat("other", cap("k"))
@@ -312,12 +336,16 @@ OTHER = rpat("other", cap("k"))
 
 class Poked:
     """Raw runtime that takes one queued action batch per (poke <name>)
-    message and records every patch it receives, in delivery order."""
+    message and records every patch it receives, in delivery order.
+    `assert_told_matches_patterns` keeps `told` and `folded` up to date."""
 
     def __init__(self, name):
         self.name = name
         self.batches = []
         self.events = []
+        self.aid = None  # set by whoever spawns it
+        self.told = set()  # values it has been told are present
+        self.folded = 0  # how many of `events` `told` accounts for
 
     def handle_event(self, event):
         if isinstance(event, BootEvent):
@@ -340,88 +368,126 @@ def poke(ds, puppet, *actions):
 
 def spawn_poked(ds, *names):
     puppets = [Poked(n) for n in names]
-    aids = [ds.spawn(p) for p in puppets]
+    for p in puppets:
+        p.aid = ds.spawn(p)
     ds.run_until_quiescent()
-    return puppets, aids
+    return puppets, [p.aid for p in puppets]
 
 
-def assert_visible_matches_patterns(ds):
-    """After a turn, each visible set is exactly the present values its
-    actor's current patterns match."""
-    for aid, table in ds.interests.items():
-        pats = table.values()
-        expect = {v for v in ds.bag if any(match(p, v) is not None for p in pats)}
-        assert ds.visible[aid] == expect, aid
+def _matched(pats, v):
+    return any(match(p, v) is not None for p in pats)
+
+
+def assert_told_matches_patterns(ds, *puppets):
+    """Fold each live puppet's new +/- events into the set of values it has
+    been told are present: a + must name a value not told yet, a - a told
+    one. A lost interest takes with it, unannounced, what no remaining
+    pattern matches. Then the told set must be exactly the present values
+    the puppet's current patterns match. Call it at quiescence."""
+    for p in puppets:
+        if not ds.is_alive(p.aid):
+            continue
+        for sign, v in p.events[p.folded :]:
+            if sign == "+":
+                assert v not in p.told, (p.name, "told twice", v)
+                p.told.add(v)
+            else:
+                assert v in p.told, (p.name, "removal of an untold value", v)
+                p.told.remove(v)
+        p.folded = len(p.events)
+        pats = ds.interests[p.aid].values()
+        p.told = {v for v in p.told if _matched(pats, v)}
+        assert p.told == {v for v in ds.bag if _matched(pats, v)}, p.name
 
 
 def test_reasserting_a_shared_interest_gets_a_second_initial_patch():
     # a's retraction leaves the bag unchanged (b holds the same interest), so
-    # the turn routes nothing; a's visible set must still forget the values
+    # the turn routes nothing; a must still forget the values
     ds = Dataspace()
-    (a, b, h), (aid, _, _) = spawn_poked(ds, "a", "b", "h")
+    (a, b, h), _ = spawn_poked(ds, "a", "b", "h")
     poke(ds, h, Assert(rec("cell", 1)), Assert(rec("cell", 2)))
     poke(ds, b, Assert(observe(CELL)))
     poke(ds, a, Assert(observe(CELL)))
+    assert_told_matches_patterns(ds, a, b, h)
     poke(ds, a, Retract(observe(CELL)))
-    assert ds.visible[aid] == set()
+    assert_told_matches_patterns(ds, a, b, h)
+    assert a.told == set()
     poke(ds, a, Assert(observe(CELL)))
     both = [("+", rec("cell", 1)), ("+", rec("cell", 2))]
     assert a.events == both + both
-    assert_visible_matches_patterns(ds)
+    assert_told_matches_patterns(ds, a, b, h)
 
 
 def test_same_turn_retract_and_reassert_keeps_visible_values():
     # the net change over the turn decides: CELL is kept, so (cell 1) stays
-    # visible without a second initial patch and its removal is still heard;
+    # told without a second initial patch and its removal is still heard;
     # OTHER is lost (b holds it too, so the bag does not change) and (other 1)
     # is forgotten
     ds = Dataspace()
-    (a, b, h), (aid, _, _) = spawn_poked(ds, "a", "b", "h")
+    (a, b, h), _ = spawn_poked(ds, "a", "b", "h")
     poke(ds, h, Assert(rec("cell", 1)), Assert(rec("other", 1)))
     poke(ds, b, Assert(observe(OTHER)))
     poke(ds, a, Assert(observe(CELL)), Assert(observe(OTHER)))
-    assert ds.visible[aid] == {rec("cell", 1), rec("other", 1)}
+    assert_told_matches_patterns(ds, a, b, h)
+    assert a.told == {rec("cell", 1), rec("other", 1)}
     seen = list(a.events)
     poke(ds, a, Retract(observe(CELL)), Retract(observe(OTHER)), Assert(observe(CELL)))
     assert a.events == seen
-    assert ds.visible[aid] == {rec("cell", 1)}
-    assert_visible_matches_patterns(ds)
+    assert_told_matches_patterns(ds, a, b, h)
+    assert a.told == {rec("cell", 1)}
     poke(ds, h, Retract(rec("cell", 1)), Retract(rec("other", 1)))
     assert a.events == seen + [("-", rec("cell", 1))]
+    assert_told_matches_patterns(ds, a, b, h)
 
 
 def test_turn_without_actions_routes_nothing():
     ds = Dataspace()
-    (a, b, h), (aid, bid, _) = spawn_poked(ds, "a", "b", "h")
+    (a, b, h), (aid, _, _) = spawn_poked(ds, "a", "b", "h")
     poke(ds, h, Assert(rec("cell", 1)), Assert(rec("cell", 2)))
     poke(ds, a, Assert(observe(CELL)), Assert(observe(LOW)))
     poke(ds, b, Assert(observe(CELL)))
     poke(ds, a, Retract(observe(CELL)))
-    before = {k: set(vis) for k, vis in ds.visible.items()}
+    assert_told_matches_patterns(ds, a, b, h)
+    before = [list(p.events) for p in (a, b, h)]
     a.batches.append([])
     ds.inject_message(rec("poke", sym("a")))
     record = ds.run_turn()
     assert record.actor == aid and record.actions == []
     assert not ds.pending()
-    assert ds.visible == before
-    assert_visible_matches_patterns(ds)
-    assert ds.visible[aid] == {rec("cell", 1)} and len(ds.visible[bid]) == 2
+    assert [p.events for p in (a, b, h)] == before
+    assert_told_matches_patterns(ds, a, b, h)
+    assert a.told == {rec("cell", 1)} and len(b.told) == 2
 
 
 def test_dropping_one_of_two_overlapping_interests_keeps_what_the_other_matches():
     ds = Dataspace()
-    (a, b, h), (aid, _, _) = spawn_poked(ds, "a", "b", "h")
+    (a, b, h), _ = spawn_poked(ds, "a", "b", "h")
     poke(ds, h, Assert(rec("cell", 1)), Assert(rec("cell", 2)))
     poke(ds, b, Assert(observe(CELL)))
     poke(ds, a, Assert(observe(CELL)), Assert(observe(LOW)))
+    assert_told_matches_patterns(ds, a, b, h)
     poke(ds, a, Retract(observe(CELL)))
-    assert ds.visible[aid] == {rec("cell", 1)}
-    assert_visible_matches_patterns(ds)
+    assert_told_matches_patterns(ds, a, b, h)
+    assert a.told == {rec("cell", 1)}
     seen = list(a.events)
     poke(ds, h, Retract(rec("cell", 2)))
     assert a.events == seen  # (cell 2) was forgotten with CELL
     poke(ds, h, Retract(rec("cell", 1)))
     assert a.events == seen + [("-", rec("cell", 1))]
+    assert_told_matches_patterns(ds, a, b, h)
+
+
+def test_a_value_gone_in_the_turn_its_interest_arrives_is_never_announced():
+    # a was never told about (cell 1), so its removal in the very turn a
+    # starts to observe it is not heard either; (cell 2) comes in the
+    # initial patch
+    ds = Dataspace()
+    (a, h), _ = spawn_poked(ds, "a", "h")
+    poke(ds, a, Assert(rec("cell", 1)))
+    poke(ds, h, Assert(rec("cell", 2)))
+    poke(ds, a, Assert(observe(CELL)), Retract(rec("cell", 1)))
+    assert a.events == [("+", rec("cell", 2))]
+    assert_told_matches_patterns(ds, a, h)
 
 
 def test_an_interest_held_twice_lasts_until_its_last_copy_goes():
@@ -435,16 +501,20 @@ def test_an_interest_held_twice_lasts_until_its_last_copy_goes():
     initial = [("+", rec("cell", k)) for k in (1, 2, 3)]
     assert a.events == initial
     assert ds.bag[observe(CELL)] == {aid: 2}
+    assert_told_matches_patterns(ds, a, h)
     poke(ds, a, Retract(observe(CELL)))
     poke(ds, h, Retract(rec("cell", 1)))
     assert a.events == initial + [("-", rec("cell", 1))]
+    assert_told_matches_patterns(ds, a, h)
     poke(ds, a, Retract(observe(CELL)))
-    assert ds.visible[aid] == set() and observe(CELL) not in ds.interests[aid]
+    assert_told_matches_patterns(ds, a, h)
+    assert a.told == set() and observe(CELL) not in ds.interests[aid]
     turns = len(ds.trace)
     poke(ds, h, Retract(rec("cell", 2)), Assert(rec("cell", 4)))
     assert a.events == initial + [("-", rec("cell", 1))]
     assert [r.actor for r in ds.trace[turns:]] == [hid]
-    assert ds.visible[aid] == set()
+    assert_told_matches_patterns(ds, a, h)
+    assert a.told == set()
 
 
 def test_quitting_actor_leaves_no_queue_entry():
@@ -472,20 +542,32 @@ def test_quitting_actor_leaves_no_queue_entry():
 
 
 # ---------------------------------------------------------------------------
-# routing property: incremental visible sets against a per-turn re-filter
+# routing property: routing from the bag and the patterns against a per-turn
+# re-filter of a per-actor visible set
 
 
 class RefilterEveryTurn(Dataspace):
-    """Reference routing: no trim in `_apply`, no early return; every turn
-    re-filters every actor's visible set against its current patterns."""
+    """Reference routing: each actor keeps a visible set of the values it
+    was told about, and every turn re-filters every visible set against its
+    actor's current patterns; no early return."""
 
-    def _apply(self, aid, actions):
-        vis = set(self.visible[aid])
-        out = super()._apply(aid, actions)
-        self.visible[aid] = vis  # _patch_deliveries re-filters it instead
-        return out
+    def __init__(self, trace_sink=None):
+        super().__init__(trace_sink)
+        self.visible = {}  # actor id -> set of Values notified present
 
-    def _patch_deliveries(self, patch, fresh):
+    def spawn(self, boot):
+        aid = super().spawn(boot)
+        self.visible[aid] = set()
+        return aid
+
+    def _terminate(self, aid):
+        del self.visible[aid]
+        return super()._terminate(aid)
+
+    def _patch_deliveries(self, patch, actor=None, before=None):
+        fresh = {}
+        if actor is not None:
+            fresh[actor] = [p for k, p in self.interests[actor].items() if k not in before]
         out = []
         for aid in self.actors:
             pats = list(self.interests[aid].values())
@@ -551,13 +633,14 @@ def _play(ds_class, schedule):
     slots = [None, None, None]
     puppets = []
     for i, batch in schedule:
-        if slots[i] is None or not ds.is_alive(slots[i][1]):
+        if slots[i] is None or not ds.is_alive(slots[i].aid):
             p = Chaos("p%d" % len(puppets))
             puppets.append(p)
-            slots[i] = (p, ds.spawn(p))
+            slots[i] = p
+            p.aid = ds.spawn(p)
             ds.run_until_quiescent()
-        poke(ds, slots[i][0], *batch)
-        assert_visible_matches_patterns(ds)
+        poke(ds, slots[i], *batch)
+        assert_told_matches_patterns(ds, *puppets)
     return sink.getvalue(), [p.seen for p in puppets]
 
 

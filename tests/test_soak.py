@@ -59,7 +59,6 @@ def test_tables_stay_flat_under_facet_and_timer_churn():
         return (
             len(ds.bag),
             sum(len(t) for t in ds.interests.values()),
-            sum(len(s) for s in ds.visible.values()),
             live_facets(ds),
             len(cell["n"].dependents),
             len(ds.timer_registry),
