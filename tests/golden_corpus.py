@@ -17,9 +17,17 @@ import sys
 from io import StringIO
 from pathlib import Path
 
-from facetspace import Dataspace, cap, lit, rec, rpat
+from facetspace import Dataspace, cap, lit, rec, rpat, sym
+from facetspace.drivers import advance_virtual_time
 from facetspace.expansions import check_form
-from facetspace.market import bank_account_boot, default_config, parse_script, run_scenario
+from facetspace.forms import stop_when
+from facetspace.market import (
+    bank_account_boot,
+    build_scenario,
+    default_config,
+    parse_script,
+    run_scenario,
+)
 from facetspace.values import parse_all
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -112,6 +120,40 @@ def extended_canonical_run() -> str:
     return "".join(_scenario_trace(config, text) for config, text in cases)
 
 
+def withdrawing_seller_boot(name: str, desired):
+    """A named seller that takes its price back for good when it sees a
+    purchase request naming it, and never answers that request."""
+    who = sym(name)
+
+    def boot(f):
+        f.publish(rec("price", who, desired))
+        stop_when(f, "asserted", rpat("purchase-request", cap("id"), lit(who), cap("n"), cap("offered")))
+
+    return boot
+
+
+def backtrack_scenario(sink=None, brokers=None):
+    """The extended cast plus s0, the cheapest seller, which withdraws its
+    price once asked to sell: the broker goes back to choosing and buys from
+    the next-cheapest seller. One order, placed in the first trading day."""
+    config = default_config("extended") if brokers is None else default_config("extended", brokers=brokers)
+    scenario = build_scenario(config, trace_sink=sink)
+    ds = scenario.ds
+    ds.spawn(withdrawing_seller_boot("s0", 30))
+    ds.run_until_quiescent()
+    ds.inject_message(rec("place-order", sym("b1"), sym("o1"), 5, 50))
+    ds.run_until_quiescent()
+    advance_virtual_time(ds, 400)
+    ds.run_until_quiescent()
+    return scenario
+
+
+def backtrack_run() -> str:
+    sink = StringIO()
+    backtrack_scenario(sink)
+    return sink.getvalue()
+
+
 def ledger_run(seed: int) -> str:
     """``bank_account_boot`` with four accounts, an observer per balance and
     a stream of seeded deposit messages."""
@@ -164,6 +206,7 @@ def form_run(form: str) -> str:
 def corpus() -> dict:
     """Corpus entry name -> zero-argument function returning its trace."""
     entries = {"simple-canonical": simple_canonical_run, "extended-canonical": extended_canonical_run}
+    entries["extended-backtrack"] = backtrack_run
     for seed in range(1, 7):
         entries["simple-2buyers-seed%d" % seed] = lambda s=seed: simple_run(s)
     for seed in range(1, 5):

@@ -4,6 +4,7 @@ end-to-end flows live in test_acceptance.py."""
 import pytest
 
 from conftest import drive_cmd, named_puppet_boot, spawn_recorder
+from golden_corpus import backtrack_scenario
 from facetspace import Dataspace, cap, lit, rec, rpat, sym
 from facetspace.drivers import Clock, advance_virtual_time, spawn_timer_driver
 from facetspace.market import (
@@ -82,6 +83,26 @@ def test_bank_request_idempotent_across_reassertion():
         ds.inject_message(drive_cmd("a", "do-retract", req))
         quiesce(ds)
     assert bank.balances[sym("a1")] == 750
+    assert bank.processed == {t1: True}
+
+
+def test_bank_answers_a_standing_deposit_again_and_credits_it_once():
+    # a deposit-funds request that stays asserted across a day boundary
+    ds = Dataspace()
+    spawn_timer_driver(ds, Clock("virtual"))
+    spawn_clock(ds, 100, 100)
+    bank = spawn_bank(ds, {"a1": 1000})
+    ds.spawn(named_puppet_boot("a"))
+    r = spawn_recorder(ds, rpat("bank-response", cap("id"), cap("ok")))
+    quiesce(ds)
+    t1 = Unique(500)
+    ds.inject_message(drive_cmd("a", "do-assert", rec("deposit-funds", t1, sym("a1"), 50)))
+    quiesce(ds)
+    advance_virtual_time(ds, 150)  # closed
+    advance_virtual_time(ds, 100)  # reopened
+    answer = rec("bank-response", t1, True)
+    assert r.events == [("+", answer), ("-", answer), ("+", answer)]
+    assert bank.balances[sym("a1")] == 1050
     assert bank.processed == {t1: True}
 
 
@@ -275,6 +296,15 @@ def test_broker_fee_charged():
     script = parse_script(parse_all("(place b1 o1 5 50)(advance 300)(expect-quiescent)"))
     r = run_scenario(cfg, script)
     assert r.final_balances == {"a1": 793}  # 1000 - 5*40 - 7
+
+
+def test_broker_backtracks_when_the_named_seller_withdraws():
+    # s0 (30) withdraws its price on seeing the purchase request; the broker
+    # chooses again and buys from s1 (40)
+    r = backtrack_scenario(brokers={"k2": 5})
+    assert r.buyers["b1"].outcomes == {"o1": "fulfilled"}
+    assert r.bank.balances == {sym("a1"): 1000 - 5 * 40 - 5}
+    assert r.ds.query(rpat("purchase-request", cap("o"), lit(sym("s0")), cap("n"), cap("p"))) == []
 
 
 def test_no_brokers_resolves_to_no_broker():
