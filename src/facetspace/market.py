@@ -200,16 +200,16 @@ def result_cache_boot(the_order: Value, answer: Symbol):
     def boot(f):
         f.publish(rec("order-result", the_order, answer))
         live = f.field(0)
-        seen = f.field(False)
         meta = rpat("observe", rpat("order-result", lit(the_order), cap("p")))
 
         def on_interest(hf, _b):
             live(live() + 1)
-            seen(True)
 
+        # The set view announces a disappearance only after its appearance,
+        # so a count back at 0 means every interested party has gone.
         def on_disinterest(hf, _b):
             live(live() - 1)
-            if seen() and live() == 0:
+            if live() == 0:
                 hf.actor.stop_facet(f)
 
         f.on_asserted(meta, on_interest)
@@ -265,19 +265,6 @@ def spawn_wallet(ds) -> int:
 # ---------------------------------------------------------------------------
 # Broker
 
-def _make_stop_with(order_facet, the_order: Value):
-    # Stopping is synchronous: once the first answer stops the order facet,
-    # `alive` turns every later answer away.
-    def stop_with(answer: Symbol):
-        if order_facet.alive:
-            order_facet.stop(
-                order_facet,
-                continuation=lambda pf: pf.spawn(result_cache_boot(the_order, answer)),
-            )
-
-    return stop_with
-
-
 def broker_boot(name=None, fee=0, wait_period: int = 100):
     """Simple broker when name is None: takes the first price it sees.
     Named (extended) broker otherwise: advertises its fee and buys from the
@@ -291,7 +278,7 @@ def broker_boot(name=None, fee=0, wait_period: int = 100):
 
             def on_order(hf, b):
                 the_order = rec("order", *who, b["id"], b["acct"], b["n"], b["maxp"])
-                hf.react(lambda of: _work_on_one_order(of, the_order, b, bool(who), fee, wait_period))
+                hf.react(lambda of: _work_on_one_order(of, the_order, who, b, fee, wait_period))
 
             tf.on_asserted(rpat("order", *who, cap("id"), cap("acct"), cap("n"), cap("maxp")), on_order)
 
@@ -300,50 +287,48 @@ def broker_boot(name=None, fee=0, wait_period: int = 100):
     return boot
 
 
-def _work_on_one_order(of, the_order, b, named, fee, wait_period):
-    stop_with = _make_stop_with(of, the_order)
+def _work_on_one_order(of, the_order, who, b, fee, wait_period):
+    """One order as one conversation: funding, choosing a price, purchase."""
     acct = b["acct"]
     n = b["n"].n
     maxp = _num(b["maxp"])
-    potential = n * maxp
+    held = n * maxp
 
-    def request_state(sf):
-        sf.publish(rec("funds-needed", the_order, acct, potential))
+    # Stopping is synchronous: once the first answer stops the order facet,
+    # `alive` turns every later answer away.
+    def stop_with(answer: Symbol):
+        if of.alive:
+            of.stop(of, continuation=lambda pf: pf.spawn(result_cache_boot(the_order, answer)))
+
+    def funding(sf):
+        sf.publish(rec("funds-needed", the_order, acct, held))
         sf.on_asserted(
-            lit(rec("funds-held", the_order, acct, potential, True)),
-            lambda hf, _b: goto("funded"),
+            lit(rec("funds-held", the_order, acct, held, True)),
+            lambda hf, _b: goto("choosing"),
         )
         sf.on_asserted(
-            lit(rec("funds-held", the_order, acct, potential, False)),
+            lit(rec("funds-held", the_order, acct, held, False)),
             lambda hf, _b: stop_with(INSUFFICIENT_FUNDS),
         )
         sf.on_retracted(lit(the_order), lambda hf, _b: stop_with(CANCELED))
 
-    def funded_state(sf):
-        _finish_funded(sf, the_order, acct, n, maxp, potential, stop_with, named, fee, wait_period)
-
-    goto = state_machine(of, "acquire-funds", [("request", request_state), ("funded", funded_state)])
-
-
-def _finish_funded(sf, the_order, acct, n, maxp, held, stop_with, named, fee, wait_period):
-    # In both request stages the price endpoints come before the cancel
+    # In both choosing states the price endpoints come before the cancel
     # endpoint: a price and a cancel delivered in one patch resolve to the
-    # purchase (criterion 5).
-    def take_first_price(pf):
+    # purchase (criterion 5). A cancel once funded is answered here; the
+    # wallet returns the held funds when it sees the canceled order-result.
+    def take_first_price(sf):
         def on_price(hf, b):
             if _num(b["actual"]) <= maxp:
                 goto("purchase", None, b["actual"])
             else:
                 stop_with(NO_PRICE_MATCH)
 
-        pf.on_asserted(rpat("price", cap("actual")), on_price)
-        # Cancellation while funded: the wallet returns the held funds when
-        # it sees the canceled order-result.
-        pf.on_retracted(lit(the_order), lambda hf, _b: stop_with(CANCELED))
+        sf.on_asserted(rpat("price", cap("actual")), on_price)
+        sf.on_retracted(lit(the_order), lambda hf, _b: stop_with(CANCELED))
 
-    def select_cheapest(pf):
-        sellers = query_map(pf, rpat("price", cap("seller"), cap("actual")), "seller", "actual")
-        pf.on_retracted(lit(the_order), lambda hf, _b: stop_with(CANCELED))
+    def select_cheapest(sf):
+        sellers = query_map(sf, rpat("price", cap("seller"), cap("actual")), "seller", "actual")
+        sf.on_retracted(lit(the_order), lambda hf, _b: stop_with(CANCELED))
 
         def decide(hf):
             offers = sellers()
@@ -356,27 +341,26 @@ def _finish_funded(sf, the_order, acct, n, maxp, held, stop_with, named, fee, wa
             else:
                 stop_with(NO_PRICE_MATCH)
 
-        on_timeout(pf, wait_period, decide)
+        on_timeout(sf, wait_period, decide)
 
-    def complete_purchase(pf, seller, actual_v):
-        who = _names(seller)
+    def complete_purchase(sf, seller, actual_v):
+        seller_who = _names(seller)
         actual = _num(actual_v)
-        pf.publish(rec("purchase-request", the_order, *who, n, actual_v))
+        sf.publish(rec("purchase-request", the_order, *seller_who, n, actual_v))
 
         def on_ok(hf, _b):
             deposit_back(hf, acct, held - n * actual - fee)
             stop_with(FULFILLED)
 
-        pf.on_asserted(lit(rec("purchase-result", the_order, *who, True)), on_ok)
+        sf.on_asserted(lit(rec("purchase-result", the_order, *seller_who, True)), on_ok)
         # Once committed, a cancel is ignored; a named seller that withdraws
-        # its price sends the order back to selection.
-        if who:
-            pf.on_retracted(rpat("price", *who, cap("p")), lambda hf, _b: goto("request"))
+        # its price sends the order back to choosing.
+        if seller_who:
+            sf.on_retracted(rpat("price", *seller_who, cap("p")), lambda hf, _b: goto("choosing"))
 
+    choosing = select_cheapest if who else take_first_price
     goto = state_machine(
-        sf,
-        "purchase-progress",
-        [("request", select_cheapest if named else take_first_price), ("purchase", complete_purchase)],
+        of, "order", [("funding", funding), ("choosing", choosing), ("purchase", complete_purchase)]
     )
 
 
