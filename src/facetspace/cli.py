@@ -44,6 +44,9 @@ def _cmd_run(args) -> int:
         except ScenarioError as e:
             print("script assertion failed: %s" % e, file=sys.stderr)
             return 1
+        except ValueError as e:  # build_scenario refuses the timing flags
+            print("bad options: %s" % e, file=sys.stderr)
+            return 2
     for ref, answer in sorted(result.order_outcomes.items()):
         print("order %s: %s" % (ref, answer))
     for acct, balance in sorted(result.final_balances.items()):

@@ -25,6 +25,7 @@ from .values import (
     decode,
     match,
     render,
+    to_value,
 )
 
 log = logging.getLogger(__name__)
@@ -197,9 +198,10 @@ class Dataspace:
 
     # -- external inputs (serialized inbox) ---------------------------------
 
-    def inject_message(self, v: Value):
-        """External message broadcast; enters between turns."""
-        for aid, ev in self._message_deliveries(v):
+    def inject_message(self, v):
+        """External message broadcast; enters between turns. A host datum is
+        converted as ``Facet.send`` converts it."""
+        for aid, ev in self._message_deliveries(to_value(v)):
             self.queue.append((aid, ev))
 
     # -- the turn engine ----------------------------------------------------

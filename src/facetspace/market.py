@@ -2,8 +2,8 @@
 
 The cast: a clock alternating trading days, a bank holding accounts, a
 wallet fronting the bank for the broker, sellers advertising prices, brokers
-working orders through funding and purchase stages, scripted buyers, and
-small one-shot actors for deposits and order-result caching.
+working each order through funding, choosing and purchase, scripted buyers,
+and small one-shot actors for deposits and order-result caching.
 
 The extended variant names its sellers and brokers: brokers pick the
 cheapest seller after a collection window, buyers pick the cheapest broker.
@@ -488,13 +488,15 @@ class ScenarioError(AssertionError):
 
 @dataclass
 class ScenarioConfig:
-    scenario: str = "simple"  # simple | extended
+    """The cast's shape names the scenario: sellers as a list of prices and
+    brokers as a count run the simple one, both as dicts the extended one."""
+
     accounts: dict = field(default_factory=lambda: {"a1": 1000})
     buyers: list = field(default_factory=lambda: [("b1", "a1")])
     sellers: object = field(default_factory=lambda: [40])  # extended: {name: price}
     brokers: object = 1  # extended: {name: fee}
     open_ms: int = 1000
-    closed_ms: int = 500
+    closed_ms: int = 500  # 0: always open
     wait_period: int = 100
 
 
@@ -547,11 +549,7 @@ def default_config(scenario: str = "simple", **overrides) -> ScenarioConfig:
     gets one anonymous seller at 40 and one broker, extended gets sellers
     s1:40/s2:55 and brokers k1 (fee 0) and k2 (fee 5)."""
     if scenario == "extended":
-        cfg = ScenarioConfig(
-            scenario="extended",
-            sellers={"s1": 40, "s2": 55},
-            brokers={"k1": 0, "k2": 5},
-        )
+        cfg = ScenarioConfig(sellers={"s1": 40, "s2": 55}, brokers={"k1": 0, "k2": 5})
     elif scenario == "simple":
         cfg = ScenarioConfig()
     else:
@@ -574,23 +572,32 @@ class ScenarioResult:
 
 
 def build_scenario(config: ScenarioConfig, trace_sink=None) -> ScenarioResult:
-    """Spawn the full cast; returns handles without running any script."""
+    """Spawn the full cast; returns handles without running any script.
+    Raises ValueError for a cast of mixed shape or a timing out of range."""
+    sellers, brokers = config.sellers, config.brokers
+    extended = isinstance(sellers, dict) and isinstance(brokers, dict)
+    if extended:
+        sellers, brokers = sellers.items(), brokers.items()
+    elif isinstance(sellers, list) and isinstance(brokers, int):
+        sellers, brokers = [(None, p) for p in sellers], [(None, 0)] * brokers
+    else:
+        raise ValueError(
+            "sellers and brokers must be a list of prices and a count (simple) or two dicts"
+            " (extended), not %s and %s" % (type(sellers).__name__, type(brokers).__name__)
+        )
+    for name, least in [("open_ms", 1), ("closed_ms", 0), ("wait_period", 1)]:
+        value = getattr(config, name)
+        if not isinstance(value, int) or value < least:
+            raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
     ds = Dataspace(trace_sink=trace_sink)
     spawn_timer_driver(ds, Clock("virtual"))
     spawn_clock(ds, config.open_ms, config.closed_ms)
     bank = spawn_bank(ds, config.accounts)
     spawn_wallet(ds)
-    extended = config.scenario == "extended"
-    if extended:
-        for name, desired in config.sellers.items():
-            spawn_seller(ds, desired, name)
-        for name, fee in config.brokers.items():
-            spawn_broker(ds, name, fee, config.wait_period)
-    else:
-        for desired in config.sellers:
-            spawn_seller(ds, desired)
-        for _ in range(config.brokers):
-            spawn_broker(ds)
+    for name, desired in sellers:
+        spawn_seller(ds, desired, name)
+    for name, fee in brokers:
+        spawn_broker(ds, name, fee, config.wait_period)
     buyers = {}
     for name, acct in config.buyers:
         buyers[name] = spawn_scripted_buyer(ds, name, acct, extended, config.wait_period)
@@ -612,14 +619,11 @@ def run_scenario(config: ScenarioConfig, script: list, trace_sink=None, max_turn
         if kind == "advance":
             ds.run_until_quiescent(max_turns)
             advance_virtual_time(ds, step[1], max_turns)
-        elif kind == "place":
-            _, buyer, ref, n_v, maxp_v = step
+        elif kind in ("place", "cancel"):
+            _, buyer, ref, *order = step  # place also carries n and maxp
             if buyer not in buyers:
                 fail("unknown buyer %s" % buyer)
-            ds.inject_message(rec("place-order", sym(buyer), sym(ref), n_v, maxp_v))
-        elif kind == "cancel":
-            _, buyer, ref = step
-            ds.inject_message(rec("cancel-order", sym(buyer), sym(ref)))
+            ds.inject_message(rec(kind + "-order", sym(buyer), sym(ref), *order))
         elif kind == "expect-quiescent":
             ds.run_until_quiescent(max_turns)
         elif kind == "assert-balance":

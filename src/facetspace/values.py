@@ -392,6 +392,9 @@ class ParseError(ValueError):
 
 _DELIMS = set("()[]\"| \t\n\r")
 _QUOTE_IF = _DELIMS | {";"}
+# Records and sequences nest at most this deep in text: deeper input would
+# exhaust the recursion of the parser, of == and of hashing.
+MAX_DEPTH = 100
 
 
 def _read_quoted(text: str, i: int, what: str):
@@ -464,10 +467,12 @@ def _parse_atom(tok: str) -> Value:
     return Decimal(x)
 
 
-def _parse_one(tokens: list, pos: int):
+def _parse_one(tokens: list, pos: int, depth: int = 0):
     if pos >= len(tokens):
         raise ParseError("unexpected end of input")
     tok = tokens[pos]
+    if depth == MAX_DEPTH and tok in ("(", "["):
+        raise ParseError("nesting deeper than %d levels" % MAX_DEPTH)
     if tok == "(":
         pos += 1
         label = None if pos >= len(tokens) or tokens[pos] in "()[]" else _parse_atom(tokens[pos])
@@ -476,7 +481,7 @@ def _parse_one(tokens: list, pos: int):
         pos += 1
         fields = []
         while pos < len(tokens) and tokens[pos] != ")":
-            f, pos = _parse_one(tokens, pos)
+            f, pos = _parse_one(tokens, pos, depth + 1)
             fields.append(f)
         if pos >= len(tokens):
             raise ParseError("missing )")
@@ -485,7 +490,7 @@ def _parse_one(tokens: list, pos: int):
         pos += 1
         items = []
         while pos < len(tokens) and tokens[pos] != "]":
-            i, pos = _parse_one(tokens, pos)
+            i, pos = _parse_one(tokens, pos, depth + 1)
             items.append(i)
         if pos >= len(tokens):
             raise ParseError("missing ]")

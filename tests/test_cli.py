@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from facetspace.cli import main
 
 HAPPY = """
@@ -43,10 +45,31 @@ def test_run_failing_assertion_exits_nonzero(tmp_path, capsys):
 
 
 def test_run_rejects_bad_scripts(tmp_path, capsys):
-    for text in ["(advance foo)", "(place b1 o1 5 50"]:
+    for text in ["(advance foo)", "(place b1 o1 5 50", "[" * 3000 + "]" * 3000]:
         script = write(tmp_path, text)
         assert main(["run", "--script", script, "--trace", str(tmp_path / "t.jsonl")]) == 2
         assert "bad script" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--wait-period", "0", "wait_period must be an integer >= 1, got 0"),
+        ("--open-ms", "0", "open_ms must be an integer >= 1, got 0"),
+        ("--open-ms", "-5", "open_ms must be an integer >= 1, got -5"),
+        ("--closed-ms", "-1", "closed_ms must be an integer >= 0, got -1"),
+    ],
+)
+def test_run_rejects_bad_timing_flags(tmp_path, capsys, flag, value, message):
+    script = write(tmp_path, "(place b1 o1 5 50)(advance 500)(expect-quiescent)")
+    argv = ["run", "--scenario", "extended", "--script", script, "--trace", str(tmp_path / "t.jsonl")]
+    assert main(argv + [flag, value]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_run_accepts_closed_ms_zero_as_always_open(tmp_path, capsys):
+    script = write(tmp_path, HAPPY)
+    assert main(["run", "--script", script, "--trace", str(tmp_path / "t.jsonl"), "--closed-ms", "0"]) == 0
 
 
 def test_run_reports_unreadable_script(tmp_path, capsys):

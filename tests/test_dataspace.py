@@ -19,7 +19,7 @@ from facetspace.dataspace import (
     render_action,
     render_event,
 )
-from facetspace.values import lit, match, message_interest, observe
+from facetspace.values import Integer, lit, match, message_interest, observe
 
 CELL = rpat("cell", cap("k"))
 
@@ -105,6 +105,20 @@ def test_message_broadcast_no_buffering():
     ds.inject_message(drive_cmd("a", "do-send", rec("ping", 2)))
     ds.run_until_quiescent()
     assert r.events == [("!", rec("ping", 2))]
+
+
+def test_inject_message_converts_host_data():
+    sink = io.StringIO()
+    ds = Dataspace(trace_sink=sink)
+    r = spawn_recorder(ds, cap("x"), messages=True)
+    ds.run_until_quiescent()
+    ds.inject_message(5)
+    ds.run_until_quiescent()
+    assert [e for e in r.events if e[0] == "!"] == [("!", Integer(5))]
+    assert len(sink.getvalue().splitlines()) == len(ds.trace)
+    with pytest.raises(TypeError):
+        ds.inject_message(object())
+    assert not ds.queue
 
 
 def test_message_recipients_snapshotted_at_emission():

@@ -1,6 +1,8 @@
 """Unit-level checks of the market actors and the scenario harness; the
 end-to-end flows live in test_acceptance.py."""
 
+from dataclasses import fields
+
 import pytest
 
 from conftest import drive_cmd, named_puppet_boot, spawn_recorder
@@ -8,7 +10,9 @@ from golden_corpus import backtrack_scenario
 from facetspace import Dataspace, cap, lit, rec, rpat, sym
 from facetspace.drivers import Clock, advance_virtual_time, spawn_timer_driver
 from facetspace.market import (
+    ScenarioConfig,
     ScenarioError,
+    build_scenario,
     default_config,
     parse_script,
     result_cache_boot,
@@ -260,9 +264,10 @@ def test_failed_order_result_assertion():
         run_scenario(default_config("simple"), script)
 
 
-def test_unknown_buyer_rejected():
-    with pytest.raises(ScenarioError, match="unknown buyer"):
-        run_scenario(default_config("simple"), parse_script(parse_all("(place zz o1 5 50)")))
+@pytest.mark.parametrize("step", ["(place zz o1 5 50)", "(cancel zz o1)"])
+def test_unknown_buyer_rejected(step):
+    with pytest.raises(ScenarioError, match="unknown buyer zz"):
+        run_scenario(default_config("simple"), parse_script(parse_all(step)))
 
 
 def test_cancel_unknown_order_is_warning_noop(caplog):
@@ -276,6 +281,21 @@ def test_default_config_validation():
         default_config("weird")
     with pytest.raises(TypeError):
         default_config("simple", bogus=1)
+
+
+def test_the_cast_shape_names_the_scenario():
+    assert len(fields(ScenarioConfig)) == 7
+    # named sellers and brokers run the extended scenario, whatever the stock cast
+    script = parse_script(parse_all("(place b1 o1 5 50)(advance 300)(expect-quiescent)"))
+    r = run_scenario(default_config("simple", sellers={"s1": 40}, brokers={"k1": 3}), script)
+    assert (r.order_outcomes, r.final_balances) == ({"o1": "fulfilled"}, {"a1": 797})
+    for config in [
+        default_config("simple", sellers={"s1": 40}),
+        default_config("extended", sellers=[40]),
+        default_config("simple", brokers={"k1": 0}),
+    ]:
+        with pytest.raises(ValueError, match="sellers.*brokers"):
+            build_scenario(config)
 
 
 # ---------------------------------------------------------------------------

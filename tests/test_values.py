@@ -112,10 +112,22 @@ def test_parse_basics():
     assert parse("(flag)") == rec("flag")
 
 
+def nested(depth, open_="[", close="]"):
+    return open_ * depth + "1" + close * depth
+
+
 def test_parse_errors():
-    for bad in ["(", "()", "(1 2)", "[1", '"open', "x y", ")", "#uxyz", "", "|open"]:
+    for bad in ["(", "()", "(1 2)", "[1", '"open', "x y", ")", "#uxyz", "", "|open",
+                nested(101), nested(101, "(a ", ")"), nested(250), nested(3000)]:
         with pytest.raises(ParseError):
             parse(bad)
+
+
+def test_parse_accepts_nesting_up_to_the_bound():
+    for text in [nested(100), nested(50, "[(a ", ")]")]:
+        v = parse(text)
+        assert v == parse(text)
+        assert parse(render(v)) == v
 
 
 def test_parse_all_with_comments():
