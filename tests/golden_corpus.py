@@ -132,12 +132,11 @@ def withdrawing_seller_boot(name: str, desired):
     return boot
 
 
-def backtrack_scenario(sink=None, brokers=None):
+def backtrack_scenario(sink=None, **overrides):
     """The extended cast plus s0, the cheapest seller, which withdraws its
     price once asked to sell: the broker goes back to choosing and buys from
     the next-cheapest seller. One order, placed in the first trading day."""
-    config = default_config("extended") if brokers is None else default_config("extended", brokers=brokers)
-    scenario = build_scenario(config, trace_sink=sink)
+    scenario = build_scenario(default_config("extended", **overrides), trace_sink=sink)
     ds = scenario.ds
     ds.spawn(withdrawing_seller_boot("s0", 30))
     ds.run_until_quiescent()
