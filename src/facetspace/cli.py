@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .expansions import FORMS, check_form
-from .market import ScenarioError, default_config, parse_script, run_scenario
+from .market import ScenarioError, check_config, default_config, parse_script, run_scenario
 from .values import ParseError, parse_all
 
 
@@ -33,6 +33,11 @@ def _cmd_run(args) -> int:
         closed_ms=args.closed_ms,
         wait_period=args.wait_period,
     )
+    try:  # before the trace file is opened, so a bad flag leaves it as it was
+        check_config(config)
+    except ValueError as e:
+        print("bad options: %s" % e, file=sys.stderr)
+        return 2
     try:
         sink = open(args.trace, "w")
     except OSError as e:
@@ -44,9 +49,6 @@ def _cmd_run(args) -> int:
         except ScenarioError as e:
             print("script assertion failed: %s" % e, file=sys.stderr)
             return 1
-        except ValueError as e:  # build_scenario refuses the timing flags
-            print("bad options: %s" % e, file=sys.stderr)
-            return 2
     for ref, answer in sorted(result.order_outcomes.items()):
         print("order %s: %s" % (ref, answer))
     for acct, balance in sorted(result.final_balances.items()):

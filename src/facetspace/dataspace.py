@@ -15,13 +15,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .values import (
+    MAX_DEPTH,
     MESSAGE,
     OBSERVE,
     MalformedPatternEncoding,
     Pattern,
     Record,
     Value,
-    _Value,
+    check_value,
+    compile_test,
     decode,
     match,
     render,
@@ -29,6 +31,11 @@ from .values import (
 )
 
 log = logging.getLogger(__name__)
+
+# A trace line holds a value two levels deeper than the value itself, in
+# (patch (added v)); deeper values are refused where they enter, so that
+# every line parses.
+MAX_TRACED_DEPTH = MAX_DEPTH - 2
 
 
 class MaxTurnsExceeded(RuntimeError):
@@ -152,7 +159,9 @@ class Dataspace:
         # tables iterate in ascending id order.
         self.bag: dict = {}  # present Value -> {actor id -> count > 0}: the only counts
         self.actors: dict = {}  # live actor id -> runtime
-        self.interests: dict = {}  # actor id -> {observe Value it holds -> decoded Pattern}
+        # actor id -> {observe Value it holds -> decoded Pattern}; routing
+        # calls each pattern's compiled test, p._test, never match
+        self.interests: dict = {}
         self.queue: deque = deque()
         self.trace: list = []
         self.clock = None  # installed by the timer driver, if any
@@ -200,8 +209,9 @@ class Dataspace:
 
     def inject_message(self, v):
         """External message broadcast; enters between turns. A host datum is
-        converted as ``Facet.send`` converts it."""
-        for aid, ev in self._message_deliveries(to_value(v)):
+        converted as ``Facet.send`` converts it; a value the trace could not
+        hold raises ValueError (see check_value) and queues nothing."""
+        for aid, ev in self._message_deliveries(check_value(to_value(v), MAX_TRACED_DEPTH)):
             self.queue.append((aid, ev))
 
     # -- the turn engine ----------------------------------------------------
@@ -215,8 +225,7 @@ class Dataspace:
         try:
             actions = list(runtime.handle_event(event))
             for a in actions:
-                if not _well_formed(a):
-                    raise TypeError("malformed action: %r" % (a,))
+                _check_action(a)
         except Exception:
             log.warning("actor %d crashed handling %s", aid, render_event(event), exc_info=True)
             crashed = True
@@ -270,9 +279,12 @@ class Dataspace:
             table.pop(v, None)  # a malformed interest has no entry
             return
         try:
-            table[v] = decode(v.fields[0])
+            p = decode(v.fields[0])
         except MalformedPatternEncoding:
             log.warning("actor %d asserted malformed interest %s", aid, render(v))
+            return
+        compile_test(p)
+        table[v] = p
 
     def _apply(self, aid, actions):
         was_present: dict = {}
@@ -300,7 +312,7 @@ class Dataspace:
         wrapper = Record(MESSAGE, (v,))
         out = []
         for aid, table in self.interests.items():
-            if any(match(p, wrapper) is not None for p in table.values()):
+            if any(p._test(wrapper) for p in table.values()):
                 out.append((aid, MessageEvent(v)))
         return out
 
@@ -336,19 +348,19 @@ class Dataspace:
             return []
         out = []
         for aid, table in self.interests.items():
-            pats = table.values()
+            tests = [p._test for p in table.values()]
             new = old = ()
-            f_removed = tuple(v for v in patch.removed if any(match(p, v) is not None for p in pats))
+            f_removed = tuple(v for v in patch.removed if any(t(v) for t in tests))
             if aid == actor:
-                new, old = gained, before.values()
-                f_removed = tuple(v for v in f_removed if any(match(p, v) is not None for p in old))
-            f_added = tuple(v for v in patch.added if any(match(p, v) is not None for p in pats))
+                new, old = [p._test for p in gained], [p._test for p in before.values()]
+                f_removed = tuple(v for v in f_removed if any(t(v) for t in old))
+            f_added = tuple(v for v in patch.added if any(t(v) for t in tests))
             init_added = tuple(
                 v
                 for v in self.bag
-                if any(match(p, v) is not None for p in new)
+                if any(t(v) for t in new)
                 and v not in patch.added
-                and not any(match(p, v) is not None for p in old)
+                and not any(t(v) for t in old)
             )
             if init_added:
                 out.append((aid, PatchEvent(Patch(init_added, ()))))
@@ -357,7 +369,9 @@ class Dataspace:
         return out
 
 
-def _well_formed(a) -> bool:
+def _check_action(a):
+    """Raise unless a is an action whose value, if any, the trace can hold."""
     if isinstance(a, (Assert, Retract, Message)):
-        return isinstance(a.v, _Value)
-    return isinstance(a, (Spawn, Quit))
+        check_value(a.v, MAX_TRACED_DEPTH)
+    elif not isinstance(a, (Spawn, Quit)):
+        raise TypeError("malformed action: %r" % (a,))

@@ -40,10 +40,6 @@ class DeadFieldAccess(RuntimeError):
     pass
 
 
-class OutsideFacetContext(RuntimeError):
-    pass
-
-
 class Field:
     """A mutable cell owned by one facet. Call with no arguments to read,
     with one argument to write. Reads inside an assertion computation
@@ -213,7 +209,6 @@ class Actor:
         self.actions = []
         self._evaluating = None
         self._dirty = {}  # ordered set of AssertEndpoints
-        self._stack = []
         self.stop_handlers_run = 0
 
     # -- scheduler interface ------------------------------------------------
@@ -229,12 +224,7 @@ class Actor:
             raise TypeError("unknown event: %r" % (event,))
         return self.actions
 
-    # -- context ------------------------------------------------------------
-
-    def current_facet(self) -> Facet:
-        if not self._stack:
-            raise OutsideFacetContext("no facet body is executing")
-        return self._stack[-1]
+    # -- actions ------------------------------------------------------------
 
     def _emit(self, action):
         self.actions.append(action)
@@ -245,11 +235,7 @@ class Actor:
     # -- install / dispatch / teardown --------------------------------------
 
     def _run_body(self, facet, body, args=()):
-        self._stack.append(facet)
-        try:
-            body(facet, *args)
-        finally:
-            self._stack.pop()
+        body(facet, *args)
         self._refresh()
 
     def _install(self, facet, body, args):

@@ -571,8 +571,8 @@ class ScenarioResult:
     buyers: dict
 
 
-def build_scenario(config: ScenarioConfig, trace_sink=None) -> ScenarioResult:
-    """Spawn the full cast; returns handles without running any script.
+def check_config(config: ScenarioConfig):
+    """The cast as (extended, (name, price) sellers, (name, fee) brokers).
     Raises ValueError for a cast of mixed shape or a timing out of range."""
     sellers, brokers = config.sellers, config.brokers
     extended = isinstance(sellers, dict) and isinstance(brokers, dict)
@@ -589,6 +589,13 @@ def build_scenario(config: ScenarioConfig, trace_sink=None) -> ScenarioResult:
         value = getattr(config, name)
         if not isinstance(value, int) or value < least:
             raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
+    return extended, sellers, brokers
+
+
+def build_scenario(config: ScenarioConfig, trace_sink=None) -> ScenarioResult:
+    """Spawn the full cast; returns handles without running any script.
+    Raises ValueError as check_config does."""
+    extended, sellers, brokers = check_config(config)
     ds = Dataspace(trace_sink=trace_sink)
     spawn_timer_driver(ds, Clock("virtual"))
     spawn_clock(ds, config.open_ms, config.closed_ms)

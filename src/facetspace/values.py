@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 
 class MalformedPatternEncoding(ValueError):
@@ -98,9 +98,14 @@ MESSAGE = Symbol("message")
 
 _VALUE_TYPES = (Symbol, Integer, Decimal, Text, Boolean, Sequence, Record, Unique)
 
+# Records and sequences nest at most this deep in text: deeper input would
+# exhaust the recursion of the parser, of == and of hashing.
+MAX_DEPTH = 100
 
-def to_value(x) -> Value:
-    """Convert a host datum to a Value. Bools before ints: bool is an int."""
+
+def to_value(x, _room: int = MAX_DEPTH) -> Value:
+    """Convert a host datum to a Value. Bools before ints: bool is an int.
+    Lists and tuples nested deeper than MAX_DEPTH raise ValueError."""
     if isinstance(x, _VALUE_TYPES):
         return x
     if isinstance(x, bool):
@@ -114,7 +119,9 @@ def to_value(x) -> Value:
     if isinstance(x, str):
         return Text(x)
     if isinstance(x, (list, tuple)):
-        return Sequence(tuple(to_value(i) for i in x))
+        if not _room:
+            raise ValueError("nesting deeper than %d levels" % MAX_DEPTH)
+        return Sequence(tuple(to_value(i, _room - 1) for i in x))
     raise TypeError("cannot convert %r to a Value" % (x,))
 
 
@@ -259,6 +266,91 @@ def _match_all(pats, vals) -> Optional[dict]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Routing tests: a pattern compiled once into a yes/no test of a value.
+
+def compile_test(p: Pattern) -> Callable[[Value], bool]:
+    """The test t with t(v) == (match(p, v) is not None) for every v, built
+    on the first call and kept on p as ``p._test`` (as a value keeps its
+    hash). It builds no bindings. A record or sequence node checks class,
+    label and arity, then only the fields that are not wildcards or
+    captures; a literal compares identity, the cached hashes, then ==."""
+    try:
+        return p._test
+    except AttributeError:
+        t = _compile(p)
+        object.__setattr__(p, "_test", t)  # patterns are frozen dataclasses
+        return t
+
+
+def _always(v) -> bool:
+    return True
+
+
+def _compile(p: Pattern) -> Callable[[Value], bool]:
+    if isinstance(p, (Wildcard, Capture)):
+        return _always
+    if isinstance(p, Literal):
+        return _literal_test(p.v)
+    if isinstance(p, RecordPat):
+        return _record_test(p.label, p.fields)
+    if isinstance(p, SequencePat):
+        return _sequence_test(p.items)
+    raise TypeError("not a pattern: %r" % (p,))
+
+
+def _literal_test(lv: Value):
+    h = hash(lv)
+
+    def test(v):
+        if v is lv:
+            return True
+        try:
+            if v._hash != h:  # equal values hash alike
+                return False
+        except AttributeError:  # not hashed yet, or not a value
+            pass
+        return lv == v
+
+    return test
+
+
+def _field_tests(pats) -> tuple:
+    return tuple((i, _compile(q)) for i, q in enumerate(pats) if not isinstance(q, (Wildcard, Capture)))
+
+
+def _record_test(label: Symbol, pats: tuple):
+    name, n, checks = label.name, len(pats), _field_tests(pats)
+
+    def test(v):
+        if v.__class__ is not Record:
+            return False
+        lbl, fs = v.label, v.fields
+        if lbl.__class__ is not Symbol or lbl.name != name or len(fs) != n:
+            return False
+        for i, t in checks:
+            if not t(fs[i]):
+                return False
+        return True
+
+    return test
+
+
+def _sequence_test(pats: tuple):
+    n, checks = len(pats), _field_tests(pats)
+
+    def test(v):
+        if v.__class__ is not Sequence or len(v.items) != n:
+            return False
+        xs = v.items
+        for i, t in checks:
+            if not t(xs[i]):
+                return False
+        return True
+
+    return test
+
+
 def instantiate(p: Pattern, b: dict) -> Pattern:
     """Replace each capture by the literal it is bound to; keep wildcards."""
     if isinstance(p, Capture):
@@ -392,9 +484,39 @@ class ParseError(ValueError):
 
 _DELIMS = set("()[]\"| \t\n\r")
 _QUOTE_IF = _DELIMS | {";"}
-# Records and sequences nest at most this deep in text: deeper input would
-# exhaust the recursion of the parser, of == and of hashing.
-MAX_DEPTH = 100
+
+
+_ATOM_TYPES = frozenset((Symbol, Integer, Decimal, Text, Boolean, Unique))
+
+
+def check_value(v, limit: int = MAX_DEPTH) -> Value:
+    """Return v if it is a well-formed value: each record label a Symbol,
+    fields and items tuples of values, records and sequences nested at
+    most `limit` deep (the text syntax reads MAX_DEPTH). Raise ValueError
+    otherwise. The walk stops at the limit, so it cannot exhaust the stack."""
+    _check_nodes(v, limit, limit)
+    return v
+
+
+def _check_nodes(v, room: int, limit: int):
+    cls = v.__class__
+    if cls is Record:
+        if v.label.__class__ is not Symbol:
+            raise ValueError("record label is %s, not a Symbol" % type(v.label).__name__)
+        kids = v.fields
+    elif cls is Sequence:
+        kids = v.items
+    elif cls in _ATOM_TYPES:
+        return
+    else:
+        raise ValueError("%s is not a value" % cls.__name__)
+    if kids.__class__ is not tuple:
+        raise ValueError("%s holds a %s, not a tuple" % (cls.__name__, type(kids).__name__))
+    if not room:
+        raise ValueError("nesting deeper than %d levels" % limit)
+    for k in kids:
+        if k.__class__ not in _ATOM_TYPES:
+            _check_nodes(k, room - 1, limit)
 
 
 def _read_quoted(text: str, i: int, what: str):

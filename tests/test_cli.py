@@ -67,6 +67,15 @@ def test_run_rejects_bad_timing_flags(tmp_path, capsys, flag, value, message):
     assert message in capsys.readouterr().err
 
 
+def test_bad_flag_leaves_an_existing_trace_file_alone(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("old trace")
+    argv = ["run", "--script", write(tmp_path, HAPPY), "--trace", str(trace), "--open-ms", "0"]
+    assert main(argv) == 2
+    assert "bad options: open_ms must be" in capsys.readouterr().err
+    assert trace.read_text() == "old trace"
+
+
 def test_run_accepts_closed_ms_zero_as_always_open(tmp_path, capsys):
     script = write(tmp_path, HAPPY)
     assert main(["run", "--script", script, "--trace", str(tmp_path / "t.jsonl"), "--closed-ms", "0"]) == 0

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import drive_cmd, named_puppet_boot, spawn_recorder
-from facetspace import Dataspace, cap, rec, rpat, sym
+from facetspace import Dataspace, cap, rec, render, rpat, sym
 from facetspace.dataspace import (
     Assert,
     BootEvent,
+    MAX_TRACED_DEPTH,
     MaxTurnsExceeded,
     Message,
     MessageEvent,
@@ -19,7 +20,17 @@ from facetspace.dataspace import (
     render_action,
     render_event,
 )
-from facetspace.values import Integer, lit, match, message_interest, observe
+from facetspace.values import (
+    MESSAGE,
+    Integer,
+    Record,
+    Sequence,
+    lit,
+    match,
+    message_interest,
+    observe,
+    parse,
+)
 
 CELL = rpat("cell", cap("k"))
 
@@ -161,10 +172,58 @@ def test_crash_discards_actions_and_cleans_up(caplog):
     assert any(rec.crashed for rec in ds.trace)
 
 
+def deep_sequence(depth):
+    v = Integer(1)
+    for _ in range(depth):
+        v = Sequence((v,))
+    return v
+
+
+def test_inject_message_refuses_a_value_the_trace_could_not_hold():
+    sink = io.StringIO()
+    ds = Dataspace(trace_sink=sink)
+    spawn_recorder(ds, cap("x"), messages=True)
+    ds.run_until_quiescent()
+    turns = len(ds.trace)
+    host_list = 1
+    for _ in range(2000):
+        host_list = [host_list]
+    for bad in [deep_sequence(150), deep_sequence(MAX_TRACED_DEPTH + 1), Record(Integer(1), ()),
+                Sequence([Integer(1)]), host_list]:
+        with pytest.raises(ValueError):
+            ds.inject_message(bad)
+        assert not ds.queue
+    ds.inject_message(deep_sequence(MAX_TRACED_DEPTH))
+    ds.run_until_quiescent()
+    events = [json.loads(line)["event"] for line in sink.getvalue().splitlines()[turns:]]
+    assert [parse(e) for e in events] == [rec("message", deep_sequence(MAX_TRACED_DEPTH))]
+
+
+def test_every_trace_line_of_the_deepest_accepted_value_parses():
+    sink = io.StringIO()
+    ds = Dataspace(trace_sink=sink)
+    spawn_recorder(ds, cap("x"))
+    v = deep_sequence(MAX_TRACED_DEPTH)
+    ds.spawn(Scripted([Assert(v), Message(v)]))
+    ds.run_until_quiescent()
+    assert not any(r.crashed for r in ds.trace)
+    for line in sink.getvalue().splitlines():
+        record = json.loads(line)
+        for text in [record["event"]] + record["actions"]:
+            parse(text)
+    assert "(patch (added " + render(v) in sink.getvalue()
+
+
 @pytest.mark.parametrize(
     "batch",
-    [[Assert(rec("cell", 1)), "junk"], [Assert(5)]],
-    ids=["non-action", "non-value"],
+    [
+        [Assert(rec("cell", 1)), "junk"],
+        [Assert(5)],
+        [Assert(rec("cell", 1)), Assert(Record(Integer(1), ()))],
+        [Message(deep_sequence(150))],
+        [Assert(Record(sym("cell"), [Integer(1)]))],
+    ],
+    ids=["non-action", "non-value", "non-symbol-label", "too-deep", "list-fields"],
 )
 def test_malformed_batch_is_a_crash(batch, caplog):
     # a raw runtime's bad batch is refused whole, before any of it applies
@@ -365,12 +424,16 @@ class Poked:
         if isinstance(event, BootEvent):
             return [Assert(message_interest(lit(rec("poke", sym(self.name)))))]
         if isinstance(event, MessageEvent):
-            return self.batches.pop(0)
+            # any other message is one it observes: hearing it acts on nothing
+            return self.batches.pop(0) if self._poked(event) else []
         for v in event.patch.added:
             self.events.append(("+", v))
         for v in event.patch.removed:
             self.events.append(("-", v))
         return []
+
+    def _poked(self, event):
+        return event.v == rec("poke", sym(self.name))
 
 
 def poke(ds, puppet, *actions):
@@ -563,7 +626,8 @@ def test_quitting_actor_leaves_no_queue_entry():
 class RefilterEveryTurn(Dataspace):
     """Reference routing: each actor keeps a visible set of the values it
     was told about, and every turn re-filters every visible set against its
-    actor's current patterns; no early return."""
+    actor's current patterns; no early return. Patterns are tested with
+    `match`, not with their compiled tests, for messages as for patches."""
 
     def __init__(self, trace_sink=None):
         super().__init__(trace_sink)
@@ -577,6 +641,14 @@ class RefilterEveryTurn(Dataspace):
     def _terminate(self, aid):
         del self.visible[aid]
         return super()._terminate(aid)
+
+    def _message_deliveries(self, v):
+        wrapper = Record(MESSAGE, (v,))
+        out = []
+        for aid, table in self.interests.items():
+            if any(match(p, wrapper) is not None for p in table.values()):
+                out.append((aid, MessageEvent(v)))
+        return out
 
     def _patch_deliveries(self, patch, actor=None, before=None):
         fresh = {}
@@ -623,15 +695,16 @@ class Chaos(Poked):
 
     def handle_event(self, event):
         self.seen.append(render_event(event))
-        if isinstance(event, MessageEvent) and CRASH in self.batches[0]:
+        if isinstance(event, MessageEvent) and self._poked(event) and CRASH in self.batches[0]:
             raise RuntimeError("crash on request")
         return super().handle_event(event)
 
 
-_SHARED = [observe(CELL), observe(LOW)]
+_SHARED = [observe(CELL), observe(LOW), message_interest(CELL), message_interest(LOW)]
 _action = st.sampled_from(
     [Assert(rec("cell", k)) for k in range(3)]
     + [Retract(rec("cell", k)) for k in range(3)]
+    + [Message(rec("cell", k)) for k in range(3)]
     + [Assert(v) for v in _SHARED]
     + [Retract(v) for v in _SHARED]
     + [Quit(), CRASH]

@@ -1,9 +1,10 @@
 import pytest
 
 from conftest import drive_cmd, named_puppet_boot, spawn_recorder
-from facetspace import Dataspace, cap, lit, rec, rpat, sym
+from facetspace import Dataspace, Integer, Record, Symbol, cap, lit, rec, rpat, sym
 from facetspace.dataspace import Assert
-from facetspace.facets import DeadFieldAccess, OutsideFacetContext, render_tree
+from facetspace.values import observe
+from facetspace.facets import DeadFieldAccess, render_tree
 from facetspace.market import bank_account_boot
 from golden_corpus import republish_boot
 
@@ -132,19 +133,6 @@ def test_dead_field_access_raises():
         cell["fld"]()
 
 
-def test_current_facet_outside_context():
-    ds = Dataspace()
-    got = {}
-
-    def boot(f):
-        got["actor"] = f.actor
-
-    ds.spawn(boot)
-    quiesce(ds)
-    with pytest.raises(OutsideFacetContext):
-        got["actor"].current_facet()
-
-
 def test_on_start_ordering_and_immediate_run_when_started():
     ds = Dataspace()
     order = []
@@ -250,6 +238,20 @@ def test_record_pattern_with_a_reserved_label_crashes_the_installing_turn():
     assert not ds.is_alive(aid)
     assert [r.crashed for r in ds.trace if r.actor == aid] == [True]
     assert seen == []
+
+
+def test_publishing_a_record_with_a_non_symbol_label_crashes_the_turn(tmp_path):
+    # the trace could not render it; it never reaches the bag
+    with open(tmp_path / "t.jsonl", "w") as sink:
+        ds = Dataspace(trace_sink=sink)
+        r = spawn_recorder(ds, cap("x"))
+        aid = ds.spawn(lambda f: (f.publish(rec("ok")), f.publish(Record(Integer(1), ()))))
+        quiesce(ds)
+    assert not ds.is_alive(aid)
+    assert [t.crashed for t in ds.trace if t.actor == aid] == [True]
+    assert rec("ok") not in ds.bag and all(isinstance(v.label, Symbol) for v in ds.bag)
+    assert [v for _, v in r.events] == [observe(cap("x"))]  # its own interest only
+    assert len((tmp_path / "t.jsonl").read_text().splitlines()) == len(ds.trace)
 
 
 def test_dispatch_first_registered_wins_when_facet_dies():

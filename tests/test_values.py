@@ -19,7 +19,9 @@ from facetspace.values import (
     MalformedPatternEncoding,
     ParseError,
     Record,
+    RecordPat,
     Sequence,
+    SequencePat,
     Symbol,
     Text,
     UnboundCapture,
@@ -28,6 +30,8 @@ from facetspace.values import (
     cap,
     capture_names,
     check_linear,
+    check_value,
+    compile_test,
     decode,
     encode,
     instantiate,
@@ -128,6 +132,27 @@ def test_parse_accepts_nesting_up_to_the_bound():
         v = parse(text)
         assert v == parse(text)
         assert parse(render(v)) == v
+
+
+def test_check_value_bounds_nesting_like_the_parser():
+    for text in [nested(100), nested(50, "[(a ", ")]")]:
+        v = parse(text)
+        assert check_value(v) is v
+        assert check_value(Sequence((v,) * 3), limit=101)
+        with pytest.raises(ValueError, match="nesting deeper than 100 levels"):
+            check_value(rec("a", 1, v))
+    v = parse(nested(99))
+    with pytest.raises(ValueError, match="nesting deeper than 98 levels"):
+        check_value(v, limit=98)
+    assert check_value(v) is v
+
+
+def test_check_value_refuses_malformed_values():
+    for bad in [Record(Integer(1), ()), Record(Symbol("a"), [Integer(1)]), Sequence([Integer(1)]),
+                Sequence((Integer(1), 2)), rec("a", Sequence((None,))), 5]:
+        with pytest.raises(ValueError):
+            check_value(bad)
+    assert check_value(rec("a", 1, Sequence((Text("t"),)))) == rec("a", 1, Sequence((Text("t"),)))
 
 
 def test_parse_all_with_comments():
@@ -295,6 +320,72 @@ def test_instantiate():
     assert match(q, rec("f", 4, 99)) is None
     with pytest.raises(UnboundCapture):
         instantiate(p, {})
+
+
+# Atoms that share a hash: Integer(1), Decimal(1.0) and Boolean(True) are
+# unequal, Decimal(0.0) and Decimal(-0.0) are equal.
+_COLLIDING = [Integer(1), Decimal(1.0), Boolean(True), Decimal(0.0), Decimal(-0.0),
+              Integer(0), Boolean(False), Text("a"), Symbol("a"), Unique(1)]
+_LABELS = [Symbol("a"), Symbol("b")]
+
+
+def _nodes(inner):
+    return st.one_of(
+        st.lists(inner, max_size=3).map(lambda xs: Sequence(tuple(xs))),
+        st.tuples(st.sampled_from(_LABELS), st.lists(inner, max_size=3)).map(
+            lambda t: Record(t[0], tuple(t[1]))
+        ),
+    )
+
+
+_small_values = st.recursive(st.sampled_from(_COLLIDING), _nodes, max_leaves=10)
+
+
+@st.composite
+def _pattern_for(draw, v):
+    """A pattern shaped after v, so that it often matches: at any node a
+    wildcard, a capture, a literal of v or of another value, or (for a
+    record or sequence) a pattern built field by field, with one field
+    sometimes dropped to change the arity."""
+    kind = draw(st.sampled_from(["wild", "cap", "lit", "other", "struct", "struct"]))
+    if kind == "wild":
+        return WILDCARD
+    if kind == "cap":
+        return cap(draw(st.sampled_from(["x", "y"])))
+    if kind == "lit" or not isinstance(v, (Record, Sequence)):
+        return Literal(v if kind != "other" else draw(_small_values))
+    subs = [draw(_pattern_for(x)) for x in (v.fields if isinstance(v, Record) else v.items)]
+    if subs and draw(st.booleans()) and draw(st.booleans()):
+        del subs[draw(st.integers(0, len(subs) - 1))]
+    if isinstance(v, Record):
+        other = _LABELS[v.label == _LABELS[0]]
+        return RecordPat(draw(st.sampled_from([v.label, v.label, other])), tuple(subs))
+    return SequencePat(tuple(subs))
+
+
+@given(st.data())
+def test_compiled_test_agrees_with_match(data):
+    v = data.draw(_nodes(_small_values) | _small_values)
+    p = data.draw(_pattern_for(v) | _pattern_for(data.draw(_small_values)))
+    other, twin, hashed_twin = data.draw(_small_values), parse(render(v)), parse(render(v))
+    hash(other), hash(hashed_twin)  # a cached hash, as every bag value has, takes the hash path
+    for w in [v, other, twin, hashed_twin]:
+        assert compile_test(p)(w) == (match(p, w) is not None), (p, w)
+
+
+def test_compiled_test_compares_hash_colliding_literals_by_value():
+    for p in [lit(1), rpat("a", lit(1), WILDCARD), spat(cap("x"), lit(0.0))]:
+        t = compile_test(p)
+        for a in _COLLIDING:
+            for w in [a, rec("a", a, 5), rec("b", a, 5), Sequence((Integer(2), a)), Record(Integer(1), (a,))]:
+                assert t(w) == (match(p, w) is not None), (p, w)
+    assert compile_test(lit(0.0))(Decimal(-0.0)) and not compile_test(lit(1))(Boolean(True))
+
+
+def test_compiled_test_is_kept_on_the_pattern():
+    p = rpat("a", cap("x"))
+    assert compile_test(p) is compile_test(p)
+    assert p == rpat("a", cap("x")) and hash(p) == hash(rpat("a", cap("x")))
 
 
 @given(_values(), _values())
