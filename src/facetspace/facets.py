@@ -26,6 +26,7 @@ from .dataspace import (
 from .values import (
     Pattern,
     check_linear,
+    compile_test,
     match,
     message_interest,
     observe,
@@ -70,6 +71,7 @@ class Field:
 
 class AssertEndpoint:
     __slots__ = ("facet", "compute", "current", "read_fields", "recompute_count")
+    kind = None  # handles no event
 
     def __init__(self, facet, compute):
         self.facet = facet
@@ -247,27 +249,19 @@ class Actor:
             self._run_body(facet, h)
 
     def _dispatch(self, event):
+        if isinstance(event, PatchEvent):
+            sides = {"asserted": event.patch.added, "retracted": event.patch.removed}
+        else:
+            sides = {"message": (event.v,)}
         invocations = []
 
         def walk(f):
             for ep in f.endpoints:
-                if not isinstance(ep, HandlerEndpoint):
-                    continue
-                if isinstance(event, PatchEvent):
-                    if ep.kind == "asserted":
-                        hay = event.patch.added
-                    elif ep.kind == "retracted":
-                        hay = event.patch.removed
-                    else:
-                        continue
-                    for v in hay:
-                        b = match(ep.pattern, v)
-                        if b is not None:
-                            invocations.append((ep, b))
-                elif isinstance(event, MessageEvent) and ep.kind == "message":
-                    b = match(ep.pattern, event.v)
-                    if b is not None:
-                        invocations.append((ep, b))
+                hay = sides.get(ep.kind)
+                if hay:
+                    # the routing test decides the hit; match builds its bindings
+                    test = compile_test(ep.pattern)
+                    invocations.extend((ep, match(ep.pattern, v)) for v in hay if test(v))
             for c in f.children:
                 walk(c)
 

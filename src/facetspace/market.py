@@ -407,6 +407,8 @@ def scripted_buyer_boot(handle: BuyerHandle, extended: bool = False, wait_period
             if extended:
 
                 def selection_body(self_):
+                    # a cancel before a broker is chosen ends the choosing here
+                    order_facets[ref] = self_
                     fees = query_map(self_, rpat("broker-fee", cap("b"), cap("fee")), "b", "fee")
 
                     def decide(hf2):
@@ -435,6 +437,8 @@ def scripted_buyer_boot(handle: BuyerHandle, extended: bool = False, wait_period
             if fct is None or not fct.alive:
                 log.warning("buyer %s: cancel of unknown/complete order %s", handle.name, ref)
                 return
+            if fct.parent is f:  # the selection facet: no broker has seen an order yet
+                handle.outcomes[ref] = "canceled"
             hf.actor.stop_facet(fct)
 
         f.on_message(rpat("place-order", lit(me), cap("ref"), cap("n"), cap("maxp")), place)

@@ -32,12 +32,11 @@ class _Value:
 
 def _value_hash(self) -> int:
     """The dataclass-generated hash, computed once per value and process."""
-    try:
-        return self._hash
-    except AttributeError:
+    h = getattr(self, "_hash", None)  # no exception to build on the first hash
+    if h is None:
         h = hash(self._field_tuple(self))
         object.__setattr__(self, "_hash", h)
-        return h
+    return h
 
 
 def _refuse_assignment(self, name, *value):

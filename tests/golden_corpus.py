@@ -120,6 +120,12 @@ def extended_canonical_run() -> str:
     return "".join(_scenario_trace(config, text) for config, text in cases)
 
 
+def selection_cancel_run() -> str:
+    """A cancel inside the buyer's broker-selection window, before any
+    broker has seen an order: it ends canceled and nothing is charged."""
+    return _scenario_trace(default_config("extended"), "(place b1 o1 5 50)(cancel b1 o1)(advance 400)")
+
+
 def withdrawing_seller_boot(name: str, desired):
     """A named seller that takes its price back for good when it sees a
     purchase request naming it, and never answers that request."""
@@ -206,6 +212,7 @@ def corpus() -> dict:
     """Corpus entry name -> zero-argument function returning its trace."""
     entries = {"simple-canonical": simple_canonical_run, "extended-canonical": extended_canonical_run}
     entries["extended-backtrack"] = backtrack_run
+    entries["extended-selection-cancel"] = selection_cancel_run
     for seed in range(1, 7):
         entries["simple-2buyers-seed%d" % seed] = lambda s=seed: simple_run(s)
     for seed in range(1, 5):

@@ -1,10 +1,14 @@
+import io
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import drive_cmd, named_puppet_boot, spawn_recorder
 from facetspace import Dataspace, Integer, Record, Symbol, cap, lit, rec, rpat, sym
-from facetspace.dataspace import Assert
-from facetspace.values import observe
-from facetspace.facets import DeadFieldAccess, render_tree
+from facetspace.dataspace import Assert, MessageEvent, PatchEvent
+from facetspace.forms import during, state_machine
+from facetspace.values import match, observe
+from facetspace.facets import Actor, DeadFieldAccess, HandlerEndpoint, render_tree
 from facetspace.market import bank_account_boot
 from golden_corpus import republish_boot
 
@@ -385,3 +389,131 @@ def test_bank_account_example():
     last = r.patches[-1].patch
     assert last.added == (rec("balance", 0, 130),)
     assert last.removed == (rec("balance", 0, 100),)
+
+
+# ---------------------------------------------------------------------------
+# facet dispatch against a reference that tests every endpoint with match
+
+class MatchEveryEndpoint(Actor):
+    """Reference dispatch: walk every endpoint of the tree and call `match`
+    on every value of the event; no compiled test decides a hit."""
+
+    def _dispatch(self, event):
+        invocations = []
+
+        def walk(f):
+            for ep in f.endpoints:
+                if not isinstance(ep, HandlerEndpoint):
+                    continue
+                if isinstance(event, PatchEvent):
+                    if ep.kind == "asserted":
+                        hay = event.patch.added
+                    elif ep.kind == "retracted":
+                        hay = event.patch.removed
+                    else:
+                        continue
+                    for v in hay:
+                        b = match(ep.pattern, v)
+                        if b is not None:
+                            invocations.append((ep, b))
+                elif isinstance(event, MessageEvent) and ep.kind == "message":
+                    b = match(ep.pattern, event.v)
+                    if b is not None:
+                        invocations.append((ep, b))
+            for c in f.children:
+                walk(c)
+
+        walk(self.root)
+        for ep, bindings in invocations:
+            if not ep.facet.alive:
+                continue
+            self._run_body(ep.facet, ep.fn, (bindings,))
+
+
+class ReferenceDispatch(Dataspace):
+    def _make_runtime(self, aid, boot):
+        if hasattr(boot, "handle_event"):
+            return boot
+        return MatchEveryEndpoint(self, aid, boot)
+
+
+# A facet program is a list of ops; ops that take a body nest another list.
+# Every message handler listens for (hit k s), so one message can bump a
+# field, stop a facet and move a state machine, in tree order.
+_key = st.integers(0, 1)
+_leaf = st.one_of(st.tuples(st.just("publish"), _key), st.tuples(st.just("watch"), _key))
+
+
+def _op(body):
+    return st.one_of(
+        _leaf,
+        st.tuples(st.just("react"), body),
+        st.tuples(st.just("stop"), _key, body),
+        st.tuples(st.just("during"), _key, body),
+        st.tuples(st.just("machine"), _key, st.lists(body, min_size=1, max_size=3)),
+    )
+
+
+_program = st.recursive(st.lists(_leaf, max_size=3), lambda body: st.lists(_op(body), max_size=4), max_leaves=12)
+_item = st.builds(rec, st.just("item"), _key, st.integers(0, 2))
+_input = st.one_of(
+    st.builds(rec, st.just("hit"), _key, st.integers(0, 2)),
+    st.lists(st.tuples(st.sampled_from(["do-assert", "do-retract"]), _item), min_size=1, max_size=3),
+)
+
+
+def _hit(k):
+    return rpat("hit", lit(k), cap("s"))
+
+
+def _state(body):
+    return lambda sf: _run(sf, body)
+
+
+def _run(f, body):
+    """Install a program's ops in facet f."""
+    for op in body:
+        kind = op[0]
+        if kind == "publish":
+            x, k = f.field(0), op[1]
+            f.publish(lambda k=k, x=x: rec("out", k, x()))
+            f.on_message(_hit(k), lambda hf, _b, x=x: x(x() + 1))
+        elif kind == "watch":
+            k, item = op[1], rpat("item", lit(op[1]), cap("x"))
+            f.on_asserted(item, lambda hf, b, k=k: hf.send(rec("saw", k, b["x"])))
+            f.on_retracted(item, lambda hf, b, k=k: hf.send(rec("lost", k, b["x"])))
+        elif kind == "react":
+            f.react(_run, op[1])
+        elif kind == "stop":
+            # the continuation installs its body in the parent
+            f.on_message(_hit(op[1]), lambda hf, _b, sub=op[2]: hf.stop(hf, lambda pf: _run(pf, sub)))
+        elif kind == "during":
+            k, sub = op[1], op[2]
+            during(f, rpat("item", lit(k), cap("x")), lambda cf, b, k=k, sub=sub: (
+                cf.publish(rec("in", k, b["x"])), _run(cf, sub)))
+        else:
+            n = len(op[2])
+            goto = state_machine(f, "m", [("s%d" % i, _state(sub)) for i, sub in enumerate(op[2])])
+            f.on_message(_hit(op[1]), lambda hf, b, goto=goto, n=n: goto("s%d" % (b["s"].n % n)))
+
+
+def _play_program(ds_class, program, inputs):
+    """Run a program beside a puppet; a list input is one batch of puppet
+    assertions and retractions of items. Returns the JSONL trace."""
+    sink = io.StringIO()
+    ds = ds_class(trace_sink=sink)
+    ds.spawn(named_puppet_boot("p"))
+    ds.spawn(lambda f: _run(f, program))
+    ds.run_until_quiescent()
+    for step in inputs:
+        if isinstance(step, list):
+            step = drive_cmd("p", "do-batch", [rec(cmd, v) for cmd, v in step])
+        ds.inject_message(step)
+        ds.run_until_quiescent()
+    return sink.getvalue()
+
+
+@settings(deadline=None)
+@given(_program, st.lists(_input, max_size=8))
+def test_dispatch_matches_a_match_on_every_endpoint(program, inputs):
+    assert _play_program(Dataspace, program, inputs) == _play_program(ReferenceDispatch, program, inputs)

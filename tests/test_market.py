@@ -334,3 +334,15 @@ def test_no_brokers_resolves_to_no_broker():
     r = run_scenario(cfg, script)
     assert r.order_outcomes == {"o1": "no-broker"}
     assert r.final_balances == {"a1": 1000}
+
+
+def test_cancel_while_choosing_a_broker_ends_the_order(caplog):
+    # the cancel comes inside the buyer's broker-selection window, before any
+    # broker has seen an order: no order, timer or held funds outlive it
+    script = parse_script(parse_all("(place b1 o1 5 50)(cancel b1 o1)(advance 400)"))
+    r = run_scenario(default_config("extended"), script)
+    assert r.order_outcomes == {"o1": "canceled"}
+    assert r.final_balances == {"a1": 1000}
+    assert r.ds.query(rpat("order", cap("k"), cap("id"), cap("acct"), cap("n"), cap("maxp"))) == []
+    assert len(r.ds.timer_registry) == 1  # the clock's next day flip only
+    assert "cancel of unknown" not in caplog.text
