@@ -26,7 +26,6 @@ from .dataspace import (
 from .values import (
     Pattern,
     check_linear,
-    compile_test,
     match,
     message_interest,
     observe,
@@ -257,11 +256,10 @@ class Actor:
 
         def walk(f):
             for ep in f.endpoints:
-                hay = sides.get(ep.kind)
-                if hay:
-                    # the routing test decides the hit; match builds its bindings
-                    test = compile_test(ep.pattern)
-                    invocations.extend((ep, match(ep.pattern, v)) for v in hay if test(v))
+                for v in sides.get(ep.kind, ()):
+                    b = match(ep.pattern, v)
+                    if b is not None:
+                        invocations.append((ep, b))
             for c in f.children:
                 walk(c)
 
@@ -315,10 +313,17 @@ class Actor:
         teardown(facet)
         if parent is not None:
             parent.children.remove(facet)
-        if continuation is not None:
-            self._run_body(parent if parent is not None else facet, continuation)
-        if facet is self.root:
+            if continuation is not None:
+                self._run_body(parent, continuation)
+        elif continuation is None:
             self._emit(Quit())
+        else:
+            # a root's continuation runs in a fresh root, and the actor lives
+            # on in it if it is left holding an endpoint or a child
+            root = self.root = Facet(self, (), None)
+            self._install(root, continuation, ())
+            if root.alive and not (root.endpoints or root.children):
+                self.stop_facet(root)
 
     def stop_actor(self):
         """Orderly shutdown: stop the root facet (stop handlers run)."""

@@ -218,14 +218,9 @@ def spat(*items) -> Pattern:
 
 
 def capture_names(p: Pattern) -> list:
-    if isinstance(p, Capture):
-        return [p.name]
-    if isinstance(p, (RecordPat, SequencePat)):
-        out = []
-        for f in (p.fields if isinstance(p, RecordPat) else p.items):
-            out.extend(capture_names(f))
-        return out
-    return []
+    """The names of p's captures, in pre-order."""
+    compile_test(p)
+    return [name for name, _path in p._captures]
 
 
 def check_linear(p: Pattern):
@@ -235,50 +230,36 @@ def check_linear(p: Pattern):
 
 
 def match(p: Pattern, v: Value) -> Optional[dict]:
-    """Match p against a ground value; returns bindings or None. Total."""
-    if isinstance(p, Wildcard):
-        return {}
-    if isinstance(p, Capture):
-        return {p.name: v}
-    if isinstance(p, Literal):
-        return {} if p.v == v else None
-    if isinstance(p, RecordPat):
-        if not isinstance(v, Record) or v.label != p.label:
-            return None
-        if len(v.fields) != len(p.fields):
-            return None
-        return _match_all(p.fields, v.fields)
-    if isinstance(p, SequencePat):
-        if not isinstance(v, Sequence) or len(v.items) != len(p.items):
-            return None
-        return _match_all(p.items, v.items)
-    raise TypeError("not a pattern: %r" % (p,))
-
-
-def _match_all(pats, vals) -> Optional[dict]:
+    """Match p against a ground value; returns bindings or None. Total.
+    The compiled test decides; each capture is then read at its path."""
+    if not compile_test(p)(v):
+        return None
     out = {}
-    for sub_p, sub_v in zip(pats, vals):
-        b = match(sub_p, sub_v)
-        if b is None:
-            return None
-        out.update(b)
+    for name, path in p._captures:
+        x = v
+        for i in path:
+            x = (x.fields if x.__class__ is Record else x.items)[i]
+        out[name] = x
     return out
 
 
 # ---------------------------------------------------------------------------
-# Routing tests: a pattern compiled once into a yes/no test of a value.
+# Compiled patterns: a yes/no test of a value, and where each capture sits.
 
 def compile_test(p: Pattern) -> Callable[[Value], bool]:
-    """The test t with t(v) == (match(p, v) is not None) for every v, built
-    on the first call and kept on p as ``p._test`` (as a value keeps its
-    hash). It builds no bindings. A record or sequence node checks class,
-    label and arity, then only the fields that are not wildcards or
-    captures; a literal compares identity, the cached hashes, then ==."""
+    """The test t of whether p matches v, built on the first call and kept
+    on p as ``p._test`` (as a value keeps its hash), with ``p._captures``:
+    each capture's (name, field/item indices) in pre-order. It builds no
+    bindings. A record or sequence node checks class, label and arity, then
+    only the fields that are not wildcards or captures; a literal compares
+    identity, the cached hashes, then ==."""
     try:
         return p._test
     except AttributeError:
-        t = _compile(p)
-        object.__setattr__(p, "_test", t)  # patterns are frozen dataclasses
+        caps = []
+        t = _compile(p, (), caps)
+        object.__setattr__(p, "_captures", tuple(caps))  # patterns are frozen dataclasses
+        object.__setattr__(p, "_test", t)
         return t
 
 
@@ -286,15 +267,18 @@ def _always(v) -> bool:
     return True
 
 
-def _compile(p: Pattern) -> Callable[[Value], bool]:
-    if isinstance(p, (Wildcard, Capture)):
+def _compile(p: Pattern, path: tuple, caps: list) -> Callable[[Value], bool]:
+    if isinstance(p, Capture):
+        caps.append((p.name, path))
+        return _always
+    if isinstance(p, Wildcard):
         return _always
     if isinstance(p, Literal):
         return _literal_test(p.v)
     if isinstance(p, RecordPat):
-        return _record_test(p.label, p.fields)
+        return _record_test(p.label, len(p.fields), _field_tests(p.fields, path, caps))
     if isinstance(p, SequencePat):
-        return _sequence_test(p.items)
+        return _sequence_test(len(p.items), _field_tests(p.items, path, caps))
     raise TypeError("not a pattern: %r" % (p,))
 
 
@@ -314,12 +298,14 @@ def _literal_test(lv: Value):
     return test
 
 
-def _field_tests(pats) -> tuple:
-    return tuple((i, _compile(q)) for i, q in enumerate(pats) if not isinstance(q, (Wildcard, Capture)))
+def _field_tests(pats, path: tuple, caps: list) -> tuple:
+    """The (index, test) of each field to check: wildcards and captures pass."""
+    tests = [(i, _compile(q, path + (i,), caps)) for i, q in enumerate(pats)]
+    return tuple((i, t) for i, t in tests if t is not _always)
 
 
-def _record_test(label: Symbol, pats: tuple):
-    name, n, checks = label.name, len(pats), _field_tests(pats)
+def _record_test(label: Symbol, n: int, checks: tuple):
+    name = label.name
 
     def test(v):
         if v.__class__ is not Record:
@@ -335,9 +321,7 @@ def _record_test(label: Symbol, pats: tuple):
     return test
 
 
-def _sequence_test(pats: tuple):
-    n, checks = len(pats), _field_tests(pats)
-
+def _sequence_test(n: int, checks: tuple):
     def test(v):
         if v.__class__ is not Sequence or len(v.items) != n:
             return False

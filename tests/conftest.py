@@ -1,15 +1,64 @@
-"""Shared test helpers: externally driven puppet actors and event recorders."""
+"""Shared test helpers: externally driven puppet actors, event recorders,
+and an interpretive pattern matcher to check the runtime's against."""
 
 import os
 
 from hypothesis import settings
 
-from facetspace import Dataspace, cap, lit, rec, rpat, sym
+from facetspace import (
+    Capture,
+    Dataspace,
+    Literal,
+    Record,
+    RecordPat,
+    Sequence,
+    SequencePat,
+    Wildcard,
+    cap,
+    lit,
+    rec,
+    rpat,
+    sym,
+)
 from facetspace.dataspace import Assert, MessageEvent, PatchEvent
 
 # HYPOTHESIS_PROFILE=ci runs every property deeper, with a fixed seed.
 settings.register_profile("ci", derandomize=True, max_examples=300)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def reference_match(p, v):
+    """Match p against a ground value; returns bindings or None. Total.
+    An interpretive walk of the pattern, kept apart from `values.match`
+    (which reads its bindings off the compiled test) so that tests can
+    compare the two."""
+    if isinstance(p, Wildcard):
+        return {}
+    if isinstance(p, Capture):
+        return {p.name: v}
+    if isinstance(p, Literal):
+        return {} if p.v == v else None
+    if isinstance(p, RecordPat):
+        if not isinstance(v, Record) or v.label != p.label:
+            return None
+        if len(v.fields) != len(p.fields):
+            return None
+        return _reference_match_all(p.fields, v.fields)
+    if isinstance(p, SequencePat):
+        if not isinstance(v, Sequence) or len(v.items) != len(p.items):
+            return None
+        return _reference_match_all(p.items, v.items)
+    raise TypeError("not a pattern: %r" % (p,))
+
+
+def _reference_match_all(pats, vals):
+    out = {}
+    for sub_p, sub_v in zip(pats, vals):
+        b = reference_match(sub_p, sub_v)
+        if b is None:
+            return None
+        out.update(b)
+    return out
 
 
 def named_puppet_boot(name: str):

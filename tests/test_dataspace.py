@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import drive_cmd, named_puppet_boot, spawn_recorder
+from conftest import drive_cmd, named_puppet_boot, reference_match, spawn_recorder
 from facetspace import Dataspace, cap, rec, render, rpat, sym
 from facetspace.dataspace import (
     Assert,
@@ -26,7 +26,6 @@ from facetspace.values import (
     Record,
     Sequence,
     lit,
-    match,
     message_interest,
     observe,
     parse,
@@ -452,7 +451,7 @@ def spawn_poked(ds, *names):
 
 
 def _matched(pats, v):
-    return any(match(p, v) is not None for p in pats)
+    return any(reference_match(p, v) is not None for p in pats)
 
 
 def assert_told_matches_patterns(ds, *puppets):
@@ -627,7 +626,8 @@ class RefilterEveryTurn(Dataspace):
     """Reference routing: each actor keeps a visible set of the values it
     was told about, and every turn re-filters every visible set against its
     actor's current patterns; no early return. Patterns are tested with
-    `match`, not with their compiled tests, for messages as for patches."""
+    `reference_match`, not with their compiled tests, for messages as for
+    patches."""
 
     def __init__(self, trace_sink=None):
         super().__init__(trace_sink)
@@ -646,7 +646,7 @@ class RefilterEveryTurn(Dataspace):
         wrapper = Record(MESSAGE, (v,))
         out = []
         for aid, table in self.interests.items():
-            if any(match(p, wrapper) is not None for p in table.values()):
+            if any(reference_match(p, wrapper) is not None for p in table.values()):
                 out.append((aid, MessageEvent(v)))
         return out
 
@@ -658,19 +658,19 @@ class RefilterEveryTurn(Dataspace):
         for aid in self.actors:
             pats = list(self.interests[aid].values())
             vis = self.visible[aid]
-            vis = {v for v in vis if any(match(p, v) is not None for p in pats)}
+            vis = {v for v in vis if any(reference_match(p, v) is not None for p in pats)}
             f_removed = tuple(v for v in patch.removed if v in vis)
             f_added = tuple(
                 v
                 for v in patch.added
-                if v not in vis and any(match(p, v) is not None for p in pats)
+                if v not in vis and any(reference_match(p, v) is not None for p in pats)
             )
             init_added = tuple(
                 v
                 for v in self.bag
                 if v not in vis
                 and v not in f_added
-                and any(match(p, v) is not None for p in fresh.get(aid, []))
+                and any(reference_match(p, v) is not None for p in fresh.get(aid, []))
             )
             if init_added:
                 out.append((aid, PatchEvent(Patch(init_added, ()))))

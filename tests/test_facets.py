@@ -1,13 +1,14 @@
 import io
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import drive_cmd, named_puppet_boot, spawn_recorder
+from conftest import drive_cmd, named_puppet_boot, reference_match, spawn_recorder
 from facetspace import Dataspace, Integer, Record, Symbol, cap, lit, rec, rpat, sym
 from facetspace.dataspace import Assert, MessageEvent, PatchEvent
 from facetspace.forms import during, state_machine
-from facetspace.values import match, observe
+from facetspace.values import observe
 from facetspace.facets import Actor, DeadFieldAccess, HandlerEndpoint, render_tree
 from facetspace.market import bank_account_boot
 from golden_corpus import republish_boot
@@ -335,6 +336,37 @@ def test_root_stop_quits_actor():
     assert ds.query(lit(rec("flag"))) == []
 
 
+def _die_turn(continuation):
+    """Trace line of the (die) turn of an actor whose root stop handler
+    sends (bye) and whose (die) handler stops the root with `continuation`."""
+    sink = io.StringIO()
+    ds = Dataspace(trace_sink=sink)
+
+    def boot(f):
+        f.on_stop(lambda sf: sf.send(rec("bye")))
+        f.on_message(rpat("die"), lambda hf, b: hf.stop(f, continuation))
+
+    aid = ds.spawn(boot)
+    quiesce(ds)
+    ds.inject_message(rec("die"))
+    quiesce(ds)
+    return ds, aid, json.loads(sink.getvalue().splitlines()[1])
+
+
+def test_root_stop_continuation_runs_in_a_fresh_root():
+    ds, aid, line = _die_turn(lambda pf: pf.publish(rec("after")))
+    assert line["actions"] == ["(send (bye))", "(retract (observe (message (die))))", "(assert (after))"]
+    assert not line["crashed"]
+    assert ds.is_alive(aid) and ds.query(lit(rec("after"))) == [rec("after")]
+    assert render_tree(ds.actors[aid]) == "root\n  assert (after)"
+
+
+def test_root_stop_continuation_that_only_sends_quits():
+    ds, aid, line = _die_turn(lambda pf: pf.send(rec("gone")))
+    assert line["actions"] == ["(send (bye))", "(retract (observe (message (die))))", "(send (gone))", "(quit)"]
+    assert not ds.is_alive(aid)
+
+
 def test_send_and_spawn_from_facet():
     ds = Dataspace()
     got = []
@@ -392,11 +424,13 @@ def test_bank_account_example():
 
 
 # ---------------------------------------------------------------------------
-# facet dispatch against a reference that tests every endpoint with match
+# facet dispatch against a reference that tests every endpoint with the
+# interpretive reference_match
 
 class MatchEveryEndpoint(Actor):
-    """Reference dispatch: walk every endpoint of the tree and call `match`
-    on every value of the event; no compiled test decides a hit."""
+    """Reference dispatch: walk every endpoint of the tree and call
+    `reference_match` on every value of the event; no compiled test decides
+    a hit."""
 
     def _dispatch(self, event):
         invocations = []
@@ -413,11 +447,11 @@ class MatchEveryEndpoint(Actor):
                     else:
                         continue
                     for v in hay:
-                        b = match(ep.pattern, v)
+                        b = reference_match(ep.pattern, v)
                         if b is not None:
                             invocations.append((ep, b))
                 elif isinstance(event, MessageEvent) and ep.kind == "message":
-                    b = match(ep.pattern, event.v)
+                    b = reference_match(ep.pattern, event.v)
                     if b is not None:
                         invocations.append((ep, b))
             for c in f.children:

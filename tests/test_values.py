@@ -1,3 +1,4 @@
+import itertools
 import os
 import pickle
 import subprocess
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 
 import facetspace
 
+from conftest import reference_match
 from facetspace.values import (
     Boolean,
     Capture,
@@ -295,6 +297,8 @@ def test_match_basics():
     assert match(p, rec("order", Unique(1), sym("a1"), 5, 51)) is None
     assert match(p, rec("other", Unique(1), sym("a1"), 5, 50)) is None
     assert match(p, rec("order", Unique(1), sym("a1"), 5)) is None  # arity
+    # a capture after a wildcard reads its own field
+    assert match(rpat("order", WILDCARD, cap("acct"), WILDCARD, cap("p")), v) == {"acct": sym("a1"), "p": Integer(50)}
 
 
 def test_match_sequences():
@@ -342,35 +346,47 @@ _small_values = st.recursive(st.sampled_from(_COLLIDING), _nodes, max_leaves=10)
 
 
 @st.composite
-def _pattern_for(draw, v):
+def _pattern_for(draw, v, fit=False):
     """A pattern shaped after v, so that it often matches: at any node a
     wildcard, a capture, a literal of v or of another value, or (for a
     record or sequence) a pattern built field by field, with one field
-    sometimes dropped to change the arity."""
-    kind = draw(st.sampled_from(["wild", "cap", "lit", "other", "struct", "struct"]))
+    sometimes dropped to change the arity. A fit pattern matches v: no
+    other value, label or arity, and a literal only at an atom."""
+    kinds = ["wild", "cap", "struct", "struct"] if fit else ["wild", "cap", "lit", "other", "struct", "struct"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "wild":
         return WILDCARD
     if kind == "cap":
         return cap(draw(st.sampled_from(["x", "y"])))
     if kind == "lit" or not isinstance(v, (Record, Sequence)):
         return Literal(v if kind != "other" else draw(_small_values))
-    subs = [draw(_pattern_for(x)) for x in (v.fields if isinstance(v, Record) else v.items)]
-    if subs and draw(st.booleans()) and draw(st.booleans()):
+    subs = [draw(_pattern_for(x, fit)) for x in (v.fields if isinstance(v, Record) else v.items)]
+    if subs and not fit and draw(st.booleans()) and draw(st.booleans()):
         del subs[draw(st.integers(0, len(subs) - 1))]
     if isinstance(v, Record):
         other = _LABELS[v.label == _LABELS[0]]
-        return RecordPat(draw(st.sampled_from([v.label, v.label, other])), tuple(subs))
+        return RecordPat(v.label if fit else draw(st.sampled_from([v.label, v.label, other])), tuple(subs))
     return SequencePat(tuple(subs))
 
 
 @given(st.data())
 def test_compiled_test_agrees_with_match(data):
+    """The compiled test and `match` agree with the interpretive reference:
+    the same hits, the same keys in the same order, the very same objects."""
     v = data.draw(_nodes(_small_values) | _small_values)
     p = data.draw(_pattern_for(v) | _pattern_for(data.draw(_small_values)))
+    fit = data.draw(_pattern_for(v, fit=True))  # binds below the top more often
     other, twin, hashed_twin = data.draw(_small_values), parse(render(v)), parse(render(v))
     hash(other), hash(hashed_twin)  # a cached hash, as every bag value has, takes the hash path
-    for w in [v, other, twin, hashed_twin]:
-        assert compile_test(p)(w) == (match(p, w) is not None), (p, w)
+    for q, w in itertools.product([p, fit], [v, other, twin, hashed_twin]):
+        want = reference_match(q, w)
+        assert compile_test(q)(w) == (want is not None), (q, w)
+        got = match(q, w)
+        if want is None:
+            assert got is None, (q, w)
+        else:
+            assert list(got) == list(want), (q, w)
+            assert all(got[k] is want[k] for k in want), (q, w)
 
 
 def test_compiled_test_compares_hash_colliding_literals_by_value():
@@ -378,7 +394,7 @@ def test_compiled_test_compares_hash_colliding_literals_by_value():
         t = compile_test(p)
         for a in _COLLIDING:
             for w in [a, rec("a", a, 5), rec("b", a, 5), Sequence((Integer(2), a)), Record(Integer(1), (a,))]:
-                assert t(w) == (match(p, w) is not None), (p, w)
+                assert t(w) == (reference_match(p, w) is not None), (p, w)
     assert compile_test(lit(0.0))(Decimal(-0.0)) and not compile_test(lit(1))(Boolean(True))
 
 
