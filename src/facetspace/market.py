@@ -14,7 +14,7 @@ the price, order, purchase-request and purchase-result records.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .dataspace import Dataspace
 from .drivers import Clock, advance_virtual_time, spawn_timer_driver
@@ -31,6 +31,7 @@ from .values import (
     render,
     rpat,
     sym,
+    to_value,
 )
 
 log = logging.getLogger(__name__)
@@ -52,12 +53,20 @@ def _num(v: Value):
     raise TypeError("not a number: %r" % (v,))
 
 
+def _sym(x):
+    return sym(x) if isinstance(x, str) else x
+
+
 def _names(name) -> tuple:
     """The optional name field of the price, order, purchase-request and
     purchase-result records: empty in the simple scenario."""
-    if name is None:
-        return ()
-    return (sym(name) if isinstance(name, str) else name,)
+    return () if name is None else (_sym(name),)
+
+
+def _cheapest(offers: dict):
+    """The (name, price) of the lowest price, ties broken by rendered name;
+    None when there is no offer."""
+    return min(offers.items(), key=lambda kv: (_num(kv[1]), render(kv[0])), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +90,11 @@ def market_clock_boot(open_ms: int, closed_ms: int):
     return boot
 
 
-def spawn_clock(ds, open_ms: int, closed_ms: int) -> int:
-    return ds.spawn(market_clock_boot(open_ms, closed_ms))
-
-
 # ---------------------------------------------------------------------------
 # Bank
 
 @dataclass
 class BankHandle:
-    actor_id: int = -1
     balances: dict = field(default_factory=dict)
     processed: dict = field(default_factory=dict)  # txn id Value -> ok
 
@@ -103,40 +107,27 @@ def bank_boot(handle: BankHandle):
 
     Requests are idempotent per transaction id: a request that stays
     asserted across a day boundary is answered again, not re-executed.
+    A deposit has no balance check: deposit_back sends a negative amount
+    when a named broker's fee exceeds what the order saved.
     """
 
-    def withdraw(tid, acct, amt):
-        if tid in handle.processed:
-            return handle.processed[tid]
-        ok = handle.balances.get(acct, 0) >= amt and acct in handle.balances
-        if ok:
-            handle.balances[acct] -= amt
-        handle.processed[tid] = ok
-        return ok
+    def transaction(tf, label, sign, checked):
+        def body(cf, b):
+            tid, acct, amt = b["id"], b["acct"], _num(b["amt"])
+            ok = handle.processed.get(tid)
+            if ok is None:
+                ok = acct in handle.balances and (not checked or handle.balances[acct] >= amt)
+                if ok:
+                    handle.balances[acct] += sign * amt
+                handle.processed[tid] = ok
+            cf.publish(rec("bank-response", tid, ok))
 
-    def deposit(tid, acct, amt):
-        if tid in handle.processed:
-            return handle.processed[tid]
-        # no amount check: deposit_back sends a negative amount when a
-        # named broker's fee exceeds what the order saved
-        ok = acct in handle.balances
-        if ok:
-            handle.balances[acct] += amt
-        handle.processed[tid] = ok
-        return ok
+        during(tf, rpat(label, cap("id"), cap("acct"), cap("amt")), body)
 
     def boot(f):
         def open_body(tf, _b):
-            def withdraw_body(cf, b):
-                ok = withdraw(b["id"], b["acct"], _num(b["amt"]))
-                cf.publish(rec("bank-response", b["id"], ok))
-
-            def deposit_body(cf, b):
-                ok = deposit(b["id"], b["acct"], _num(b["amt"]))
-                cf.publish(rec("bank-response", b["id"], ok))
-
-            during(tf, rpat("withdraw-funds", cap("id"), cap("acct"), cap("amt")), withdraw_body)
-            during(tf, rpat("deposit-funds", cap("id"), cap("acct"), cap("amt")), deposit_body)
+            transaction(tf, "withdraw-funds", -1, True)
+            transaction(tf, "deposit-funds", 1, False)
 
         during(f, rpat("trading-day-open"), open_body)
 
@@ -144,10 +135,8 @@ def bank_boot(handle: BankHandle):
 
 
 def spawn_bank(ds, accounts: dict) -> BankHandle:
-    handle = BankHandle()
-    for acct, balance in accounts.items():
-        handle.balances[sym(acct) if isinstance(acct, str) else acct] = balance
-    handle.actor_id = ds.spawn(bank_boot(handle))
+    handle = BankHandle({_sym(acct): balance for acct, balance in accounts.items()})
+    ds.spawn(bank_boot(handle))
     return handle
 
 
@@ -189,10 +178,6 @@ def seller_boot(desired, name=None):
     return boot
 
 
-def spawn_seller(ds, desired, name=None) -> int:
-    return ds.spawn(seller_boot(desired, name))
-
-
 # ---------------------------------------------------------------------------
 # Order-result caching: keeps the answer visible until nobody cares.
 
@@ -223,13 +208,13 @@ def result_cache_boot(the_order: Value, answer: Symbol):
 
 def wallet_boot():
     def boot(f):
-        processed = f.field(frozenset())
+        processed = set()
 
         def on_need(hf, b):
             the_order, acct, amt_v = b["order"], b["acct"], b["amt"]
-            if the_order in processed():
+            if the_order in processed:
                 return
-            processed(processed() | {the_order})
+            processed.add(the_order)
 
             def withdraw_body(wf):
                 wf.publish(rec("withdraw-funds", the_order, acct, amt_v))
@@ -256,10 +241,6 @@ def wallet_boot():
         f.on_asserted(rpat("funds-needed", cap("order"), cap("acct"), cap("amt")), on_need)
 
     return boot
-
-
-def spawn_wallet(ds) -> int:
-    return ds.spawn(wallet_boot())
 
 
 # ---------------------------------------------------------------------------
@@ -312,36 +293,25 @@ def _work_on_one_order(of, the_order, who, b, fee, wait_period):
         )
         sf.on_retracted(lit(the_order), lambda hf, _b: stop_with(CANCELED))
 
+    def buy_within_max(offer):
+        """offer: the chosen (seller, price), or None."""
+        if offer is not None and _num(offer[1]) <= maxp:
+            goto("purchase", *offer)
+        else:
+            stop_with(NO_PRICE_MATCH)
+
     # In both choosing states the price endpoints come before the cancel
     # endpoint: a price and a cancel delivered in one patch resolve to the
     # purchase (criterion 5). A cancel once funded is answered here; the
     # wallet returns the held funds when it sees the canceled order-result.
     def take_first_price(sf):
-        def on_price(hf, b):
-            if _num(b["actual"]) <= maxp:
-                goto("purchase", None, b["actual"])
-            else:
-                stop_with(NO_PRICE_MATCH)
-
-        sf.on_asserted(rpat("price", cap("actual")), on_price)
+        sf.on_asserted(rpat("price", cap("actual")), lambda hf, b: buy_within_max((None, b["actual"])))
         sf.on_retracted(lit(the_order), lambda hf, _b: stop_with(CANCELED))
 
     def select_cheapest(sf):
         sellers = query_map(sf, rpat("price", cap("seller"), cap("actual")), "seller", "actual")
         sf.on_retracted(lit(the_order), lambda hf, _b: stop_with(CANCELED))
-
-        def decide(hf):
-            offers = sellers()
-            if not offers:
-                stop_with(NO_PRICE_MATCH)
-                return
-            seller, actual_v = min(offers.items(), key=lambda kv: (_num(kv[1]), render(kv[0])))
-            if _num(actual_v) <= maxp:
-                goto("purchase", seller, actual_v)
-            else:
-                stop_with(NO_PRICE_MATCH)
-
-        on_timeout(sf, wait_period, decide)
+        on_timeout(sf, wait_period, lambda hf: buy_within_max(_cheapest(sellers())))
 
     def complete_purchase(sf, seller, actual_v):
         seller_who = _names(seller)
@@ -364,10 +334,6 @@ def _work_on_one_order(of, the_order, who, b, fee, wait_period):
     )
 
 
-def spawn_broker(ds, name=None, fee=0, wait_period: int = 100) -> int:
-    return ds.spawn(broker_boot(name, fee, wait_period))
-
-
 # ---------------------------------------------------------------------------
 # Scripted buyer
 
@@ -375,7 +341,6 @@ def spawn_broker(ds, name=None, fee=0, wait_period: int = 100) -> int:
 class BuyerHandle:
     name: str
     account: Value
-    actor_id: int = -1
     outcomes: dict = field(default_factory=dict)  # order ref -> answer name
 
 
@@ -386,16 +351,21 @@ def scripted_buyer_boot(handle: BuyerHandle, extended: bool = False, wait_period
     acct = handle.account
 
     def boot(f):
-        order_facets = {}
+        order_facets = {}  # ref -> its live order facet, or its broker-selection facet
+
+        def forget(ref, fct):
+            if order_facets.get(ref) is fct:  # a ref placed again names its newest order
+                del order_facets[ref]
 
         def make_order(ctx, ref, n_v, maxp_v, broker=None):
             the_order = rec("order", *_names(broker), ctx.unique(), acct, n_v, maxp_v)
 
             def await_body(af):
-                order_facets[ref] = af.react(lambda obf: obf.publish(the_order))
+                order = order_facets[ref] = af.react(lambda obf: obf.publish(the_order))
 
                 def on_result(hf, rb):
                     handle.outcomes[ref] = rb["ans"].name
+                    forget(ref, order)
                     hf.actor.stop_facet(af)
 
                 af.on_asserted(rpat("order-result", lit(the_order), cap("ans")), on_result)
@@ -412,17 +382,15 @@ def scripted_buyer_boot(handle: BuyerHandle, extended: bool = False, wait_period
                     fees = query_map(self_, rpat("broker-fee", cap("b"), cap("fee")), "b", "fee")
 
                     def decide(hf2):
-                        offers = fees()
-                        if offers:
-                            broker, _fee = min(
-                                offers.items(), key=lambda kv: (_num(kv[1]), render(kv[0]))
-                            )
+                        best = _cheapest(fees())
+                        if best is not None:
                             hf2.actor.stop_facet(
                                 self_,
-                                lambda pf: make_order(pf, ref, b["n"], b["maxp"], broker),
+                                lambda pf: make_order(pf, ref, b["n"], b["maxp"], best[0]),
                             )
                         else:
                             handle.outcomes[ref] = "no-broker"
+                            forget(ref, self_)
                             hf2.actor.stop_facet(self_)
 
                     on_timeout(self_, wait_period, decide)
@@ -439,18 +407,13 @@ def scripted_buyer_boot(handle: BuyerHandle, extended: bool = False, wait_period
                 return
             if fct.parent is f:  # the selection facet: no broker has seen an order yet
                 handle.outcomes[ref] = "canceled"
+                del order_facets[ref]
             hf.actor.stop_facet(fct)
 
         f.on_message(rpat("place-order", lit(me), cap("ref"), cap("n"), cap("maxp")), place)
         f.on_message(rpat("cancel-order", lit(me), cap("ref")), cancel)
 
     return boot
-
-
-def spawn_scripted_buyer(ds, name, account, extended=False, wait_period=100) -> BuyerHandle:
-    handle = BuyerHandle(name, sym(account) if isinstance(account, str) else account)
-    handle.actor_id = ds.spawn(scripted_buyer_boot(handle, extended, wait_period))
-    return handle
 
 
 # ---------------------------------------------------------------------------
@@ -552,46 +515,71 @@ def default_config(scenario: str = "simple", **overrides) -> ScenarioConfig:
     """Stock cast for CLI runs: one buyer b1 on account a1 (1000); simple
     gets one anonymous seller at 40 and one broker, extended gets sellers
     s1:40/s2:55 and brokers k1 (fee 0) and k2 (fee 5)."""
-    if scenario == "extended":
-        cfg = ScenarioConfig(sellers={"s1": 40, "s2": 55}, brokers={"k1": 0, "k2": 5})
-    elif scenario == "simple":
-        cfg = ScenarioConfig()
-    else:
+    stock = {"simple": {}, "extended": {"sellers": {"s1": 40, "s2": 55}, "brokers": {"k1": 0, "k2": 5}}}
+    if scenario not in stock:
         raise ValueError("unknown scenario %r" % scenario)
-    for k, v in overrides.items():
-        if not hasattr(cfg, k):
-            raise TypeError("unknown config field %r" % k)
-        setattr(cfg, k, v)
-    return cfg
+    return replace(ScenarioConfig(**stock[scenario]), **overrides)
 
 
 @dataclass
 class ScenarioResult:
-    final_balances: dict
-    order_outcomes: dict
-    trace: list
     ds: Dataspace
     bank: BankHandle
-    buyers: dict
+    buyers: dict  # name -> BuyerHandle
+
+    @property
+    def final_balances(self) -> dict:
+        return {render(k): v for k, v in self.bank.balances.items()}
+
+    @property
+    def order_outcomes(self) -> dict:
+        return {ref: ans for h in self.buyers.values() for ref, ans in h.outcomes.items()}
+
+
+def _check_number(what: str, x, kind: str):
+    """Refuse a host value that is not an int or float (a bool is an int,
+    NaN is no value) of a script field kind."""
+    desc, ok, _keep = _FIELD_KINDS[kind]
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or x != x or not ok(to_value(x)):
+        raise ValueError("%s must be %s, got %r" % (what, desc, x))
 
 
 def check_config(config: ScenarioConfig):
     """The cast as (extended, (name, price) sellers, (name, fee) brokers).
-    Raises ValueError for a cast of mixed shape or a timing out of range."""
+    Raises ValueError for a cast of mixed shape, a price, fee, broker count
+    or balance that is not a number in range, an account name that is not a
+    string, a buyer that is not a (name, account) pair named once on an
+    account of the cast, or a timing out of range."""
     sellers, brokers = config.sellers, config.brokers
     extended = isinstance(sellers, dict) and isinstance(brokers, dict)
     if extended:
         sellers, brokers = sellers.items(), brokers.items()
     elif isinstance(sellers, list) and isinstance(brokers, int):
+        _check_number("brokers", brokers, "ms")  # a count
         sellers, brokers = [(None, p) for p in sellers], [(None, 0)] * brokers
     else:
         raise ValueError(
             "sellers and brokers must be a list of prices and a count (simple) or two dicts"
             " (extended), not %s and %s" % (type(sellers).__name__, type(brokers).__name__)
         )
+    for what, cast in [("a seller's price", sellers), ("a broker's fee", brokers)]:
+        for _name, x in cast:
+            _check_number(what, x, "price")
+    for acct, balance in config.accounts.items():
+        if not isinstance(acct, (str, Symbol)):
+            raise ValueError("an account name must be a string or Symbol, got %r" % (acct,))
+        _check_number("the balance of %s" % acct, balance, "amount")
+    held, names = {_sym(acct) for acct in config.accounts}, set()
+    for buyer in config.buyers:
+        name, acct = buyer if isinstance(buyer, (tuple, list)) and len(buyer) == 2 else (None, None)
+        if not isinstance(name, str) or not isinstance(acct, (str, Symbol)) or _sym(acct) not in held:
+            raise ValueError("a buyer must be a (name, account in accounts) pair, got %r" % (buyer,))
+        if name in names:
+            raise ValueError("buyer %s appears twice" % name)
+        names.add(name)
     for name, least in [("open_ms", 1), ("closed_ms", 0), ("wait_period", 1)]:
         value = getattr(config, name)
-        if not isinstance(value, int) or value < least:
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
             raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
     return extended, sellers, brokers
 
@@ -602,17 +590,17 @@ def build_scenario(config: ScenarioConfig, trace_sink=None) -> ScenarioResult:
     extended, sellers, brokers = check_config(config)
     ds = Dataspace(trace_sink=trace_sink)
     spawn_timer_driver(ds, Clock("virtual"))
-    spawn_clock(ds, config.open_ms, config.closed_ms)
+    ds.spawn(market_clock_boot(config.open_ms, config.closed_ms))
     bank = spawn_bank(ds, config.accounts)
-    spawn_wallet(ds)
+    ds.spawn(wallet_boot())
     for name, desired in sellers:
-        spawn_seller(ds, desired, name)
+        ds.spawn(seller_boot(desired, name))
     for name, fee in brokers:
-        spawn_broker(ds, name, fee, config.wait_period)
-    buyers = {}
-    for name, acct in config.buyers:
-        buyers[name] = spawn_scripted_buyer(ds, name, acct, extended, config.wait_period)
-    return ScenarioResult({}, {}, ds.trace, ds, bank, buyers)
+        ds.spawn(broker_boot(name, fee, config.wait_period))
+    buyers = {name: BuyerHandle(name, _sym(acct)) for name, acct in config.buyers}
+    for handle in buyers.values():
+        ds.spawn(scripted_buyer_boot(handle, extended, config.wait_period))
+    return ScenarioResult(ds, bank, buyers)
 
 
 def run_scenario(config: ScenarioConfig, script: list, trace_sink=None, max_turns=100000) -> ScenarioResult:
@@ -644,17 +632,9 @@ def run_scenario(config: ScenarioConfig, script: list, trace_sink=None, max_turn
                 fail("balance of %s is %r, expected %r" % (render(acct), got, want))
         elif kind == "assert-order-result":
             _, ref, want = step
-            got = None
-            for h in buyers.values():
-                if ref in h.outcomes:
-                    got = h.outcomes[ref]
+            got = result.order_outcomes.get(ref)
             if got != want:
                 fail("order %s resolved %r, expected %r" % (ref, got, want))
         else:
             fail("unknown step %r" % (step,))
-
-    result.final_balances = {render(k): v for k, v in bank.balances.items()}
-    result.order_outcomes = {
-        ref: ans for h in buyers.values() for ref, ans in h.outcomes.items()
-    }
     return result

@@ -137,8 +137,17 @@ def rec(label: Union[str, Symbol], *fields) -> Record:
 # ---------------------------------------------------------------------------
 # Patterns
 
+class _Pattern:
+    """Base of the pattern classes. The compiled test and capture paths that
+    compile_test keeps on a pattern are closures, so pickle carries only the
+    dataclass fields, and a loaded pattern compiles afresh."""
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in ("_test", "_captures")}
+
+
 @dataclass(frozen=True)
-class Wildcard:
+class Wildcard(_Pattern):
     def __repr__(self):
         return "_"
 
@@ -147,7 +156,7 @@ WILDCARD = Wildcard()
 
 
 @dataclass(frozen=True)
-class Capture:
+class Capture(_Pattern):
     name: str
 
     def __repr__(self):
@@ -155,7 +164,7 @@ class Capture:
 
 
 @dataclass(frozen=True)
-class Literal:
+class Literal(_Pattern):
     v: Value
 
     def __repr__(self):
@@ -163,7 +172,7 @@ class Literal:
 
 
 @dataclass(frozen=True)
-class RecordPat:
+class RecordPat(_Pattern):
     label: Symbol
     fields: tuple
 
@@ -172,7 +181,7 @@ class RecordPat:
 
 
 @dataclass(frozen=True)
-class SequencePat:
+class SequencePat(_Pattern):
     items: tuple
 
     def __repr__(self):

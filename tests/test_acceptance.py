@@ -29,11 +29,11 @@ from facetspace.market import (
     broker_boot,
     build_scenario,
     default_config,
+    market_clock_boot,
     parse_script,
     run_scenario,
     scripted_buyer_boot,
     seller_boot,
-    spawn_clock,
     wallet_boot,
 )
 from facetspace.values import Integer, Record, Unique, parse_all
@@ -143,7 +143,7 @@ def _poisoned(boot, token):
 
 def _poisonable_market(ds):
     spawn_timer_driver(ds, Clock("virtual"))
-    spawn_clock(ds, 0, 0)
+    ds.spawn(market_clock_boot(0, 0))
     bank = BankHandle()
     bank.balances[sym("a1")] = 1000
     aids = {
@@ -152,8 +152,7 @@ def _poisonable_market(ds):
         "seller": ds.spawn(_poisoned(seller_boot(40), "seller")),
         "broker": ds.spawn(_poisoned(broker_boot(), "broker")),
     }
-    buyer = BuyerHandle("b1", sym("a1"))
-    buyer.actor_id = ds.spawn(scripted_buyer_boot(buyer))
+    ds.spawn(scripted_buyer_boot(BuyerHandle("b1", sym("a1"))))
     return aids
 
 
@@ -197,7 +196,7 @@ def test_criterion_4_expansion_equivalence():
 def _contradictory_run():
     sink = StringIO()
     ds = Dataspace(trace_sink=sink)
-    spawn_clock(ds, 0, 0)
+    ds.spawn(market_clock_boot(0, 0))
     bank = BankHandle()
     bank.balances[sym("a1")] = 1000
     ds.spawn(bank_boot(bank))
@@ -361,7 +360,7 @@ def test_criterion_9_extended_selection():
     res = run_scenario(cfg, parse_script(parse_all("(place b1 o1 5 50)(advance 400)(expect-quiescent)")))
     purchases = [
         a.v
-        for t in res.trace
+        for t in res.ds.trace
         for a in t.actions
         if isinstance(a, Assert) and isinstance(a.v, Record) and a.v.label == sym("purchase-request")
     ]
@@ -375,7 +374,7 @@ def test_criterion_9_extended_selection():
     # all prices retracted during the selection window -> no-price-match
     ds = Dataspace()
     spawn_timer_driver(ds, Clock("virtual"))
-    spawn_clock(ds, 0, 0)
+    ds.spawn(market_clock_boot(0, 0))
     bank = BankHandle()
     bank.balances[sym("a1")] = 1000
     ds.spawn(bank_boot(bank))
@@ -383,7 +382,7 @@ def test_criterion_9_extended_selection():
     ds.spawn(broker_boot(name="k1", fee=0, wait_period=100))
     ds.spawn(named_puppet_boot("a"))
     buyer = BuyerHandle("b1", sym("a1"))
-    buyer.actor_id = ds.spawn(scripted_buyer_boot(buyer, extended=True, wait_period=100))
+    ds.spawn(scripted_buyer_boot(buyer, extended=True, wait_period=100))
     ds.run_until_quiescent()
     ds.inject_message(drive_cmd("a", "do-assert", rec("price", sym("s1"), 40)))
     ds.inject_message(rec("place-order", sym("b1"), sym("o1"), 5, 50))

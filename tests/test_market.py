@@ -1,6 +1,8 @@
 """Unit-level checks of the market actors and the scenario harness; the
 end-to-end flows live in test_acceptance.py."""
 
+import gc
+import weakref
 from dataclasses import fields
 
 import pytest
@@ -10,17 +12,18 @@ from golden_corpus import backtrack_scenario
 from facetspace import Dataspace, cap, lit, rec, rpat, sym
 from facetspace.drivers import Clock, advance_virtual_time, spawn_timer_driver
 from facetspace.market import (
+    BuyerHandle,
     ScenarioConfig,
     ScenarioError,
     build_scenario,
     default_config,
+    market_clock_boot,
     parse_script,
     result_cache_boot,
     run_scenario,
+    scripted_buyer_boot,
+    seller_boot,
     spawn_bank,
-    spawn_clock,
-    spawn_seller,
-    spawn_wallet,
 )
 from facetspace.values import Integer, Unique, parse_all
 
@@ -30,7 +33,7 @@ def quiesce(ds):
 
 
 def open_market(ds):
-    spawn_clock(ds, 0, 0)  # degenerate: permanently open, no timers needed
+    ds.spawn(market_clock_boot(0, 0))  # degenerate: permanently open, no timers needed
 
 
 # ---------------------------------------------------------------------------
@@ -49,15 +52,18 @@ def test_bank_withdraw_and_deposit():
     bank = make_bank(ds, {"a1": 1000})
     r = spawn_recorder(ds, rpat("bank-response", cap("id"), cap("ok")))
     quiesce(ds)
-    t1, t2 = Unique(500), Unique(501)
-    ds.inject_message(drive_cmd("a", "do-assert", rec("withdraw-funds", t1, sym("a1"), 250)))
-    quiesce(ds)
-    assert ("+", rec("bank-response", t1, True)) in r.events
-    assert bank.balances[sym("a1")] == 750
-    ds.inject_message(drive_cmd("a", "do-assert", rec("deposit-funds", t2, sym("a1"), 50)))
-    quiesce(ds)
-    assert ("+", rec("bank-response", t2, True)) in r.events
-    assert bank.balances[sym("a1")] == 800
+    # a negative deposit is credited: deposit_back sends one when a named
+    # broker's fee exceeds what the order saved
+    for tid, label, amt, balance in [
+        (500, "withdraw-funds", 250, 750),
+        (501, "deposit-funds", 50, 800),
+        (502, "deposit-funds", -30, 770),
+        (503, "withdraw-funds", 770, 0),  # exactly the balance
+    ]:
+        ds.inject_message(drive_cmd("a", "do-assert", rec(label, Unique(tid), sym("a1"), amt)))
+        quiesce(ds)
+        assert ("+", rec("bank-response", Unique(tid), True)) in r.events
+        assert bank.balances[sym("a1")] == balance
 
 
 def test_bank_insufficient_and_unknown_account():
@@ -65,13 +71,14 @@ def test_bank_insufficient_and_unknown_account():
     bank = make_bank(ds, {"a1": 100})
     r = spawn_recorder(ds, rpat("bank-response", cap("id"), cap("ok")))
     quiesce(ds)
-    t1, t2 = Unique(500), Unique(501)
+    t1, t2, t3 = Unique(500), Unique(501), Unique(502)
     ds.inject_message(drive_cmd("a", "do-assert", rec("withdraw-funds", t1, sym("a1"), 250)))
     ds.inject_message(drive_cmd("a", "do-assert", rec("withdraw-funds", t2, sym("nope"), 1)))
+    ds.inject_message(drive_cmd("a", "do-assert", rec("deposit-funds", t3, sym("nope"), 1)))
     quiesce(ds)
-    assert ("+", rec("bank-response", t1, False)) in r.events
-    assert ("+", rec("bank-response", t2, False)) in r.events
-    assert bank.balances[sym("a1")] == 100
+    for t in (t1, t2, t3):
+        assert ("+", rec("bank-response", t, False)) in r.events
+    assert bank.balances == {sym("a1"): 100}
 
 
 def test_bank_request_idempotent_across_reassertion():
@@ -94,7 +101,7 @@ def test_bank_answers_a_standing_deposit_again_and_credits_it_once():
     # a deposit-funds request that stays asserted across a day boundary
     ds = Dataspace()
     spawn_timer_driver(ds, Clock("virtual"))
-    spawn_clock(ds, 100, 100)
+    ds.spawn(market_clock_boot(100, 100))
     bank = spawn_bank(ds, {"a1": 1000})
     ds.spawn(named_puppet_boot("a"))
     r = spawn_recorder(ds, rpat("bank-response", cap("id"), cap("ok")))
@@ -113,7 +120,7 @@ def test_bank_answers_a_standing_deposit_again_and_credits_it_once():
 def test_bank_inactive_while_closed():
     ds = Dataspace()
     spawn_timer_driver(ds, Clock("virtual"))
-    spawn_clock(ds, 100, 100)
+    ds.spawn(market_clock_boot(100, 100))
     bank = spawn_bank(ds, {"a1": 1000})
     ds.spawn(named_puppet_boot("a"))
     r = spawn_recorder(ds, rpat("bank-response", cap("id"), cap("ok")))
@@ -132,7 +139,7 @@ def test_bank_inactive_while_closed():
 def test_seller_price_comparison_inclusive():
     ds = Dataspace()
     open_market(ds)
-    spawn_seller(ds, 40)
+    ds.spawn(seller_boot(40))
     ds.spawn(named_puppet_boot("a"))
     r = spawn_recorder(ds, rpat("purchase-result", cap("id"), cap("ok")))
     quiesce(ds)
@@ -147,8 +154,8 @@ def test_seller_price_comparison_inclusive():
 def test_seller_withdraws_everything_at_close():
     ds = Dataspace()
     spawn_timer_driver(ds, Clock("virtual"))
-    spawn_clock(ds, 100, 100)
-    spawn_seller(ds, 40)
+    ds.spawn(market_clock_boot(100, 100))
+    ds.spawn(seller_boot(40))
     ds.spawn(named_puppet_boot("a"))
     quiesce(ds)
     ds.inject_message(drive_cmd("a", "do-assert", rec("purchase-request", Unique(1), 5, 40)))
@@ -276,11 +283,49 @@ def test_cancel_unknown_order_is_warning_noop(caplog):
     assert "cancel of unknown" in caplog.text
 
 
-def test_default_config_validation():
-    with pytest.raises(ValueError):
-        default_config("weird")
-    with pytest.raises(TypeError):
-        default_config("simple", bogus=1)
+@pytest.mark.parametrize(
+    "scenario, overrides, error, message",
+    [
+        pytest.param("weird", {}, ValueError, "unknown scenario", id="unknown-scenario"),
+        pytest.param("simple", dict(bogus=1), TypeError, "bogus", id="unknown-field"),
+        # the whole cast is checked before anything spawns
+        pytest.param(
+            "simple", dict(buyers=[("b1", "a1"), ("b1", "a1")]), ValueError, "buyer b1 appears twice",
+            id="duplicate-buyer",
+        ),
+        pytest.param(
+            "simple", dict(buyers=[("b1", "a2")]), ValueError, "account in accounts", id="unknown-account"
+        ),
+        pytest.param("simple", dict(buyers=[("b1",)]), ValueError, "a buyer must be", id="buyer-not-a-pair"),
+        pytest.param("simple", dict(buyers=[(1, "a1")]), ValueError, "a buyer must be", id="buyer-name"),
+        pytest.param("simple", dict(brokers=-1), ValueError, "brokers must be a non-negative", id="brokers"),
+        pytest.param("simple", dict(brokers=True), ValueError, "brokers must be", id="brokers-bool"),
+        pytest.param("simple", dict(sellers=["x"]), ValueError, "price must be a non-neg", id="price-str"),
+        pytest.param("simple", dict(sellers=[-3]), ValueError, "price must be a non-neg", id="price"),
+        pytest.param("extended", dict(brokers={"k1": -1}), ValueError, "fee must be a non-neg", id="fee"),
+        pytest.param(
+            "simple", dict(accounts={"a1": "lots"}), ValueError, "balance of a1 must be", id="balance-str"
+        ),
+        pytest.param(
+            "simple", dict(accounts={"a1": float("nan")}), ValueError, "balance of a1", id="balance-nan"
+        ),
+        pytest.param("simple", dict(accounts={"a1": True}), ValueError, "balance of a1", id="balance-bool"),
+        pytest.param("simple", dict(accounts={3: 10}), ValueError, "account name must be", id="account-name"),
+        pytest.param("simple", dict(open_ms=True), ValueError, "open_ms must be", id="open-ms-bool"),
+    ],
+)
+def test_default_config_validation(scenario, overrides, error, message):
+    with pytest.raises(error, match=message):
+        build_scenario(default_config(scenario, **overrides))
+
+
+def test_cast_checks_keep_legal_edges():
+    # a negative balance, no sellers and no brokers are legal casts
+    script = parse_script(parse_all("(place b1 o1 5 50)(advance 400)"))
+    r = run_scenario(default_config("simple", accounts={"a1": -5}), script)
+    assert (r.order_outcomes, r.final_balances) == ({"o1": "insufficient-funds"}, {"a1": -5})
+    for overrides in [dict(sellers=[]), dict(brokers=0), dict(sellers={}, brokers={})]:
+        build_scenario(default_config("simple", **overrides))
 
 
 def test_the_cast_shape_names_the_scenario():
@@ -334,6 +379,23 @@ def test_no_brokers_resolves_to_no_broker():
     r = run_scenario(cfg, script)
     assert r.order_outcomes == {"o1": "no-broker"}
     assert r.final_balances == {"a1": 1000}
+
+
+def test_buyer_holds_only_live_orders():
+    # once its result arrives, nothing the buyer holds keeps the order facet
+    r = build_scenario(default_config("simple", sellers=[], buyers=[]))
+    ds = r.ds
+    buyer = BuyerHandle("b1", sym("a1"))
+    aid = ds.spawn(scripted_buyer_boot(buyer))
+    quiesce(ds)
+    ds.inject_message(rec("place-order", sym("b1"), sym("o1"), 5, 50))
+    quiesce(ds)  # funded, waiting for a price
+    order = weakref.ref(ds.actors[aid].root.children[0].children[0])
+    ds.spawn(seller_boot(40))
+    quiesce(ds)
+    assert buyer.outcomes == {"o1": "fulfilled"}
+    gc.collect()
+    assert order() is None
 
 
 def test_cancel_while_choosing_a_broker_ends_the_order(caplog):

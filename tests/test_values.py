@@ -404,6 +404,17 @@ def test_compiled_test_is_kept_on_the_pattern():
     assert p == rpat("a", cap("x")) and hash(p) == hash(rpat("a", cap("x")))
 
 
+def test_compiled_pattern_round_trips_through_pickle():
+    # the compiled test is a closure: pickle leaves it out, and the loaded
+    # pattern compiles afresh to the same matches
+    p = rpat("a", cap("x"), spat(WILDCARD, lit(3), cap("y")))
+    values = [rec("a", 1, [2, 3, 4]), rec("a", 1, [2, 5, 4]), rec("b", 1, [2, 3, 4])]
+    want = [match(p, v) for v in values]
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and hash(q) == hash(p)
+    assert [match(q, v) for v in values] == want == [{"x": Integer(1), "y": Integer(4)}, None, None]
+
+
 @given(_values(), _values())
 def test_instantiate_then_match_recovers_bindings(a, b):
     p = rpat("pair", cap("x"), cap("y"))
