@@ -21,6 +21,7 @@ from .values import (
     MalformedPatternEncoding,
     Pattern,
     Record,
+    Unique,
     Value,
     check_value,
     compile_test,
@@ -172,8 +173,6 @@ class Dataspace:
     # -- allocation ---------------------------------------------------------
 
     def fresh_unique(self):
-        from .values import Unique
-
         u = Unique(self._next_unique)
         self._next_unique += 1
         return u

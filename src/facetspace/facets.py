@@ -45,10 +45,9 @@ class Field:
     with one argument to write. Reads inside an assertion computation
     register a dataflow dependency."""
 
-    __slots__ = ("actor", "owner", "_value", "dependents")
+    __slots__ = ("owner", "_value", "dependents")
 
-    def __init__(self, actor, owner, initial):
-        self.actor = actor
+    def __init__(self, owner, initial):
         self.owner = owner
         self._value = initial
         self.dependents = {}  # AssertEndpoints in first-read order, never in address order
@@ -57,15 +56,14 @@ class Field:
         if not self.owner.alive:
             raise DeadFieldAccess("field of dead facet %r" % (self.owner.id,))
         if not args:
-            ep = self.actor._evaluating
+            ep = self.owner.actor._evaluating
             if ep is not None:
                 ep.read_fields.add(self)
                 self.dependents[ep] = True
             return self._value
         (new,) = args
         self._value = new
-        for ep in list(self.dependents):
-            self.actor._mark_dirty(ep)
+        self.owner.actor._dirty.update(self.dependents)
 
 
 class AssertEndpoint:
@@ -74,7 +72,7 @@ class AssertEndpoint:
 
     def __init__(self, facet, compute):
         self.facet = facet
-        self.compute = compute  # zero-arg callable, or None for a constant
+        self.compute = compute  # zero-arg callable; publish wraps a constant in one
         self.current = None
         self.read_fields = set()
         self.recompute_count = 0
@@ -99,17 +97,14 @@ class AssertEndpoint:
 
 
 class HandlerEndpoint:
-    __slots__ = ("facet", "kind", "pattern", "fn", "interest")
+    __slots__ = ("facet", "kind", "pattern", "fn", "current")
 
     def __init__(self, facet, kind, pattern, fn):
         self.facet = facet
         self.kind = kind  # 'asserted' | 'retracted' | 'message'
         self.pattern = pattern
         self.fn = fn
-        if kind == "message":
-            self.interest = message_interest(pattern)
-        else:
-            self.interest = observe(pattern)
+        self.current = message_interest(pattern) if kind == "message" else observe(pattern)
 
 
 class Facet:
@@ -122,10 +117,9 @@ class Facet:
         self.parent = parent
         self.children = []
         self.endpoints = []
-        self.start_handlers = []
+        self.start_handlers = []  # None once the facet has started
         self.stop_handlers = []
         self.alive = True
-        self.started = False
         self._next_child = 0
 
     # -- endpoint installation ----------------------------------------------
@@ -136,7 +130,7 @@ class Facet:
 
     def field(self, initial) -> Field:
         self._require_alive()
-        return Field(self.actor, self, initial)
+        return Field(self, initial)
 
     def publish(self, spec) -> AssertEndpoint:
         """Add an assertion endpoint. A callable spec participates in
@@ -145,7 +139,7 @@ class Facet:
         ep = AssertEndpoint(self, spec if callable(spec) else lambda: spec)
         ep.current = ep.evaluate()
         self.endpoints.append(ep)
-        self.actor._emit(Assert(ep.current))
+        self.actor.actions.append(Assert(ep.current))
         return ep
 
     def _handler(self, kind, pattern, fn):
@@ -153,7 +147,7 @@ class Facet:
         check_linear(pattern)
         ep = HandlerEndpoint(self, kind, pattern, fn)
         self.endpoints.append(ep)
-        self.actor._emit(Assert(ep.interest))
+        self.actor.actions.append(Assert(ep.current))
         return ep
 
     def on_asserted(self, pattern: Pattern, fn: Callable):
@@ -167,7 +161,7 @@ class Facet:
 
     def on_start(self, fn: Callable):
         self._require_alive()
-        if self.started:
+        if self.start_handlers is None:
             self.actor._run_body(self, fn)
         else:
             self.start_handlers.append(fn)
@@ -190,10 +184,10 @@ class Facet:
         self.actor.stop_facet(facet if facet is not None else self, continuation)
 
     def send(self, v):
-        self.actor._emit(Message(to_value(v)))
+        self.actor.actions.append(Message(to_value(v)))
 
     def spawn(self, boot: Callable):
-        self.actor._emit(Spawn(boot))
+        self.actor.actions.append(Spawn(boot))
 
     def unique(self):
         return self.actor.ds.fresh_unique()
@@ -210,7 +204,6 @@ class Actor:
         self.actions = []
         self._evaluating = None
         self._dirty = {}  # ordered set of AssertEndpoints
-        self.stop_handlers_run = 0
 
     # -- scheduler interface ------------------------------------------------
 
@@ -225,14 +218,6 @@ class Actor:
             raise TypeError("unknown event: %r" % (event,))
         return self.actions
 
-    # -- actions ------------------------------------------------------------
-
-    def _emit(self, action):
-        self.actions.append(action)
-
-    def _mark_dirty(self, ep):
-        self._dirty[ep] = True
-
     # -- install / dispatch / teardown --------------------------------------
 
     def _run_body(self, facet, body, args=()):
@@ -241,8 +226,8 @@ class Actor:
 
     def _install(self, facet, body, args):
         self._run_body(facet, body, args)
-        facet.started = True
-        for h in list(facet.start_handlers):
+        handlers, facet.start_handlers = facet.start_handlers, None
+        for h in handlers:
             if not facet.alive:
                 break
             self._run_body(facet, h)
@@ -279,8 +264,7 @@ class Actor:
                 continue
             new = ep.evaluate()
             if new != ep.current:
-                self._emit(Retract(ep.current))
-                self._emit(Assert(new))
+                self.actions.extend((Retract(ep.current), Assert(new)))
                 ep.current = new
 
     def stop_facet(self, facet: Facet, continuation: Optional[Callable] = None):
@@ -293,7 +277,6 @@ class Actor:
             for c in list(f.children):
                 run_stop_handlers(c)
             for h in f.stop_handlers:
-                self.stop_handlers_run += 1
                 self._run_body(f, h)
 
         def teardown(f):
@@ -301,11 +284,9 @@ class Actor:
                 teardown(c)
             f.alive = False
             for ep in f.endpoints:
-                if isinstance(ep, AssertEndpoint):
+                if ep.kind is None:
                     ep.drop_reads()
-                    self._emit(Retract(ep.current))
-                else:
-                    self._emit(Retract(ep.interest))
+                self.actions.append(Retract(ep.current))
             f.children = []
             f.endpoints = []
 
@@ -316,7 +297,7 @@ class Actor:
             if continuation is not None:
                 self._run_body(parent, continuation)
         elif continuation is None:
-            self._emit(Quit())
+            self.actions.append(Quit())
         else:
             # a root's continuation runs in a fresh root, and the actor lives
             # on in it if it is left holding an endpoint or a child
@@ -338,7 +319,7 @@ def render_tree(actor: Actor) -> str:
     def describe(ep):
         if isinstance(ep, AssertEndpoint):
             return "assert %s" % render(ep.current)
-        return "on %s %s" % (ep.kind, render(ep.interest.fields[0]))
+        return "on %s %s" % (ep.kind, render(ep.current.fields[0]))
 
     def walk(f, depth):
         fid = "/".join(map(str, f.id)) or "root"

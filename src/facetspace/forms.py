@@ -109,21 +109,16 @@ def query_map(f: Facet, pattern: Pattern, key_name: str, val_name: str) -> Field
         if seen:
             log.warning("query_map: duplicate key %s; keeping latest", render(k))
         seen.append(v)
-        m = dict(fld())
-        m[k] = v
-        fld(m)
+        fld({k: vs[-1] for k, vs in entries.items()})
 
     def on_remove(hf, b):
         k, v = b[key_name], b[val_name]
         seen = entries.get(k, [])
-        if v in seen:
+        if v in seen:  # a removal this endpoint never heard added changes nothing
             seen.remove(v)
-        m = dict(fld())
-        if seen:
-            m[k] = seen[-1]
-        elif k in m:
-            del m[k]
-        fld(m)
+        if not seen:
+            entries.pop(k, None)
+        fld({k: vs[-1] for k, vs in entries.items()})
 
     f.on_asserted(pattern, on_add)
     f.on_retracted(pattern, on_remove)

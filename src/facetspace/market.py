@@ -494,8 +494,9 @@ _FIELD_KINDS = {
 
 def parse_script(values: list) -> list:
     """Turn script values into step tuples; raises ScenarioError naming the
-    first step that is unknown or has a field of the wrong kind."""
-    steps = []
+    first step that is unknown, has a field of the wrong kind, or places a
+    ref another buyer placed (outcomes are keyed by ref alone)."""
+    steps, placed = [], {}  # ref -> the buyer that placed it
     for i, v in enumerate(values, 1):
         where = "bad script step %d: %s" % (i, render(v))
         kinds = _STEP_FIELDS.get(v.label.name) if isinstance(v, Record) else None
@@ -507,6 +508,8 @@ def parse_script(values: list) -> list:
             if not ok(x):
                 raise ScenarioError("%s: field %d must be %s" % (where, pos, what))
             step.append(keep(x))
+        if step[0] == "place" and placed.setdefault(step[2], step[1]) != step[1]:
+            raise ScenarioError("%s: ref %s was placed by buyer %s" % (where, step[2], placed[step[2]]))
         steps.append(tuple(step))
     return steps
 

@@ -131,8 +131,12 @@ def test_criterion_2_late_observer():
 # ---------------------------------------------------------------------------
 # 3. crash cleanup
 
-def _poisoned(boot, token):
+def _poisoned(boot, token, stopped):
+    """boot, plus a handler that crashes on (poison token) and a stop
+    handler that records token in stopped."""
+
     def wrapped(f):
+        f.on_stop(lambda sf: stopped.append(token))
         f.on_message(
             rpat("poison", lit(sym(token))), lambda hf, _b: hf.no_such_method()
         )
@@ -141,16 +145,16 @@ def _poisoned(boot, token):
     return wrapped
 
 
-def _poisonable_market(ds):
+def _poisonable_market(ds, stopped):
     spawn_timer_driver(ds, Clock("virtual"))
     ds.spawn(market_clock_boot(0, 0))
     bank = BankHandle()
     bank.balances[sym("a1")] = 1000
     aids = {
-        "bank": ds.spawn(_poisoned(bank_boot(bank), "bank")),
-        "wallet": ds.spawn(_poisoned(wallet_boot(), "wallet")),
-        "seller": ds.spawn(_poisoned(seller_boot(40), "seller")),
-        "broker": ds.spawn(_poisoned(broker_boot(), "broker")),
+        "bank": ds.spawn(_poisoned(bank_boot(bank), "bank", stopped)),
+        "wallet": ds.spawn(_poisoned(wallet_boot(), "wallet", stopped)),
+        "seller": ds.spawn(_poisoned(seller_boot(40), "seller", stopped)),
+        "broker": ds.spawn(_poisoned(broker_boot(), "broker", stopped)),
     }
     ds.spawn(scripted_buyer_boot(BuyerHandle("b1", sym("a1"))))
     return aids
@@ -161,7 +165,8 @@ def test_criterion_3_crash_cleanup():
     for target in ["bank", "wallet", "seller", "broker"]:
         for point in ["idle", "mid-order"]:
             ds = Dataspace()
-            aids = _poisonable_market(ds)
+            stopped = []
+            aids = _poisonable_market(ds, stopped)
             ds.run_until_quiescent()
             if point == "mid-order":
                 # park the broker mid-flight: funds held, waiting on a price
@@ -169,12 +174,10 @@ def test_criterion_3_crash_cleanup():
                 ds.inject_message(rec("place-order", sym("b1"), sym("o1"), 5, 30))
                 ds.run_until_quiescent()
             aid = aids[target]
-            runtime = ds.actors[aid]
-            stops_before = runtime.stop_handlers_run
             ds.inject_message(rec("poison", sym(target)))
             ds.run_until_quiescent()
             leaked = [v for v, per in ds.bag.items() if per.get(aid)]
-            if ds.is_alive(aid) or leaked or runtime.stop_handlers_run != stops_before:
+            if ds.is_alive(aid) or leaked or stopped:
                 failures.append((target, point, leaked))
     report(3, "crashed actors leak nothing and run no stop handlers", failures == [])
 

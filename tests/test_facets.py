@@ -1,5 +1,6 @@
 import io
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +9,11 @@ from conftest import drive_cmd, named_puppet_boot, reference_match, spawn_record
 from facetspace import Dataspace, Integer, Record, Symbol, cap, lit, rec, rpat, sym
 from facetspace.dataspace import Assert, MessageEvent, PatchEvent
 from facetspace.forms import during, state_machine
-from facetspace.values import observe
+from facetspace.values import observe, to_value
 from facetspace.facets import Actor, DeadFieldAccess, HandlerEndpoint, render_tree
 from facetspace.market import bank_account_boot
 from golden_corpus import republish_boot
+from test_dataspace import RefilterEveryTurn
 
 
 def quiesce(ds):
@@ -202,20 +204,20 @@ def test_stop_dead_facet_is_noop_with_warning(caplog):
 
 def test_crash_skips_stop_handlers():
     ds = Dataspace()
-    runtime = {}
+    stopped = []
 
     def boot(f):
-        f.on_stop(lambda sf: None)
+        f.on_stop(lambda sf: stopped.append("root"))
+        f.react(lambda cf: cf.on_stop(lambda sf: stopped.append("child")))
         f.publish(rec("flag"))
         f.on_message(rpat("boom"), lambda hf, b: 1 / 0)
 
     aid = ds.spawn(boot)
     quiesce(ds)
-    runtime["actor"] = ds.actors[aid]
     ds.inject_message(rec("boom"))
     quiesce(ds)
     assert not ds.is_alive(aid)
-    assert runtime["actor"].stop_handlers_run == 0
+    assert stopped == []
     assert ds.query(lit(rec("flag"))) == []
 
 
@@ -296,6 +298,30 @@ def test_handler_runs_once_per_matching_value():
     )
     quiesce(ds)
     assert sorted(hits) == [1, 2]
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="routing leaves out of the initial patch what the actor's held patterns already "
+    "matched, and the facet runtime does not replay it to the new endpoint",
+)
+@pytest.mark.parametrize("pattern", [rpat("price", cap("q")), lit(rec("price", 40))], ids=["capture", "literal"])
+def test_a_late_endpoint_hears_values_its_actor_was_already_told(pattern):
+    ds = Dataspace()
+    seen = []
+
+    def boot(f):
+        f.on_asserted(rpat("price", cap("p")), lambda hf, b: None)
+        f.on_message(
+            rpat("grow"), lambda hf, _b: hf.react(lambda cf: cf.on_asserted(pattern, lambda h, b: seen.append(b)))
+        )
+
+    ds.spawn(lambda f: f.publish(rec("price", 40)))
+    ds.spawn(boot)
+    quiesce(ds)
+    ds.inject_message(rec("grow"))
+    quiesce(ds)
+    assert len(seen) == 1
 
 
 def test_stop_retracts_descendant_assertions_and_interests():
@@ -531,19 +557,24 @@ def _run(f, body):
             f.on_message(_hit(op[1]), lambda hf, b, goto=goto, n=n: goto("s%d" % (b["s"].n % n)))
 
 
-def _play_program(ds_class, program, inputs):
-    """Run a program beside a puppet; a list input is one batch of puppet
-    assertions and retractions of items. Returns the JSONL trace."""
+def _play_program(ds_class, program, inputs, after_turn=lambda ds: None):
+    """Run a program beside a puppet, calling after_turn(ds) after every
+    turn; a list input is one batch of puppet assertions and retractions of
+    items. Returns the JSONL trace."""
     sink = io.StringIO()
     ds = ds_class(trace_sink=sink)
     ds.spawn(named_puppet_boot("p"))
-    ds.spawn(lambda f: _run(f, program))
-    ds.run_until_quiescent()
-    for step in inputs:
+    aid = ds.spawn(lambda f: _run(f, program))
+    # the reference run must not fall back to the runtime it checks
+    assert (type(ds.actors[aid]) is MatchEveryEndpoint) == (ds_class is ReferenceDispatch)
+    for step in [None, *inputs]:
         if isinstance(step, list):
             step = drive_cmd("p", "do-batch", [rec(cmd, v) for cmd, v in step])
-        ds.inject_message(step)
-        ds.run_until_quiescent()
+        if step is not None:
+            ds.inject_message(step)
+        while ds.pending():
+            ds.run_turn()
+            after_turn(ds)
     return sink.getvalue()
 
 
@@ -551,3 +582,38 @@ def _play_program(ds_class, program, inputs):
 @given(_program, st.lists(_input, max_size=8))
 def test_dispatch_matches_a_match_on_every_endpoint(program, inputs):
     assert _play_program(Dataspace, program, inputs) == _play_program(ReferenceDispatch, program, inputs)
+
+
+def _live_endpoints(actor):
+    todo = [actor.root] if actor.root is not None and actor.root.alive else []
+    while todo:
+        f = todo.pop()
+        yield from f.endpoints
+        todo.extend(f.children)
+
+
+def _check_dataflow(ds):
+    """Every live assertion endpoint holds what its computation gives now,
+    and each actor holds in the bag exactly what its live endpoints hold."""
+    for aid, actor in ds.actors.items():
+        held = Counter()
+        for ep in _live_endpoints(actor):
+            if ep.kind is None:
+                assert ep.current == to_value(ep.compute())
+            held[ep.current] += 1
+        assert held == Counter({v: per[aid] for v, per in ds.bag.items() if aid in per})
+
+
+@settings(deadline=None)
+@given(_program, st.lists(_input, max_size=8))
+def test_assertion_endpoints_follow_their_fields_after_every_turn(program, inputs):
+    _play_program(Dataspace, program, inputs, after_turn=_check_dataflow)
+
+
+def test_reference_runtimes_override_only_what_their_base_defines():
+    # an override of a name the base no longer has is never called, and the
+    # reference would silently check the runtime against itself
+    for cls in (ReferenceDispatch, MatchEveryEndpoint, RefilterEveryTurn):
+        (base,) = cls.__bases__
+        own = [name for name, x in vars(cls).items() if callable(x)]
+        assert own and [n for n in own if not callable(getattr(base, n, None))] == [], cls

@@ -219,6 +219,7 @@ def test_parse_script_accepts_all_steps():
         parse_all(
             "(advance 100) (place b1 o1 5 50) (cancel b1 o1)"
             " (expect-quiescent) (assert-balance a1 800) (assert-order-result o1 fulfilled)"
+            " (place b1 o1 5 30)"  # a buyer may place its own ref again
         )
     )
     assert [s[0] for s in steps] == [
@@ -228,6 +229,7 @@ def test_parse_script_accepts_all_steps():
         "expect-quiescent",
         "assert-balance",
         "assert-order-result",
+        "place",
     ]
     assert steps[1] == ("place", "b1", "o1", Integer(5), Integer(50))
 
@@ -251,6 +253,11 @@ def test_parse_script_rejects_junk():
         ("(cancel 3 o1)", "step 1: (cancel 3 o1): field 1 must be a symbol"),
         ("(assert-balance a1 lots)", "step 1: (assert-balance a1 lots): field 2 must be a number"),
         ('(assert-order-result o1 "ok")', 'step 1: (assert-order-result o1 "ok"): field 2 must be a symbol'),
+        # outcomes are keyed by ref, so b2's answer would hide b1's
+        (
+            "(place b1 o1 5 50)(place b2 o1 5 30)(advance 400)",
+            "step 2: (place b2 o1 5 30): ref o1 was placed by buyer b1",
+        ),
     ],
 )
 def test_parse_script_names_the_bad_field(text, message):
@@ -370,6 +377,18 @@ def test_broker_backtracks_when_the_named_seller_withdraws():
     assert r.buyers["b1"].outcomes == {"o1": "fulfilled"}
     assert r.bank.balances == {sym("a1"): 1000 - 5 * 40 - 5}
     assert r.ds.query(rpat("purchase-request", cap("o"), lit(sym("s0")), cap("n"), cap("p"))) == []
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="the second selection facet's query_map is never told the broker fees its actor "
+    "already heard, so o2 finds no broker",
+)
+def test_a_second_order_sees_the_brokers_the_first_saw():
+    script = parse_script(parse_all("(place b1 o1 1 50)(expect-quiescent)(place b1 o2 1 50)(advance 400)"))
+    r = run_scenario(default_config("extended"), script)
+    assert r.order_outcomes == {"o1": "fulfilled", "o2": "fulfilled"}
+    assert r.final_balances == {"a1": 920}
 
 
 def test_no_brokers_resolves_to_no_broker():
