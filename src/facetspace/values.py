@@ -25,9 +25,10 @@ class UnboundCapture(KeyError):
 # Values
 
 class _Value:
-    """Slotted base of the value classes. Its one slot caches the value's
-    hash; dataclass fields, equality and pickle state never see it."""
-    __slots__ = ("_hash",)
+    """Slotted base of the value classes. Its slots cache the value's hash
+    and its canonical text; dataclass fields, equality and pickle state
+    never see them."""
+    __slots__ = ("_hash", "_text")
 
 
 def _value_hash(self) -> int:
@@ -104,19 +105,21 @@ MAX_DEPTH = 100
 
 def to_value(x, _room: int = MAX_DEPTH) -> Value:
     """Convert a host datum to a Value. Bools before ints: bool is an int.
+    An instance of a subclass (an IntEnum member, say) is converted to its
+    base type, the exact type check_value requires of an atom's field.
     Lists and tuples nested deeper than MAX_DEPTH raise ValueError."""
     if isinstance(x, _VALUE_TYPES):
         return x
     if isinstance(x, bool):
         return Boolean(x)
     if isinstance(x, int):
-        return Integer(x)
+        return Integer(int(x))
     if isinstance(x, float):
         if x != x:
             raise ValueError("NaN is not a value: it equals nothing, so it could never be retracted")
-        return Decimal(x)
+        return Decimal(float(x))
     if isinstance(x, str):
-        return Text(x)
+        return Text(str(x))
     if isinstance(x, (list, tuple)):
         if not _room:
             raise ValueError("nesting deeper than %d levels" % MAX_DEPTH)
@@ -423,6 +426,16 @@ def message_interest(p: Pattern) -> Record:
 # Canonical text rendering and its parser (used for traces and script files).
 
 def render(v: Value) -> str:
+    """The canonical text of v, computed once per value and kept in its
+    ``_text`` slot, as its hash is kept in ``_hash``."""
+    t = getattr(v, "_text", None)  # no exception to build on the first render
+    if t is None:
+        t = _render(v)
+        object.__setattr__(v, "_text", t)
+    return t
+
+
+def _render(v: Value) -> str:
     if isinstance(v, Symbol):
         return _symbol_text(v.name)
     if isinstance(v, Integer):
@@ -478,11 +491,22 @@ _DELIMS = set("()[]\"| \t\n\r")
 _QUOTE_IF = _DELIMS | {";"}
 
 
-_ATOM_TYPES = frozenset((Symbol, Integer, Decimal, Text, Boolean, Unique))
+# Each atom class's one field and the exact type it must hold: an Integer
+# of a bool, a Decimal of an int or a Symbol of an int would render as text
+# that reads back as another value, or not at all.
+_ATOM_FIELDS = {
+    Symbol: ("name", str),
+    Integer: ("n", int),
+    Decimal: ("x", float),
+    Text: ("s", str),
+    Boolean: ("b", bool),
+    Unique: ("serial", int),
+}
 
 
 def check_value(v, limit: int = MAX_DEPTH) -> Value:
-    """Return v if it is a well-formed value: each record label a Symbol,
+    """Return v if it is a well-formed value: each atom's field of its exact
+    type (see _ATOM_FIELDS) and no Decimal NaN, each record label a Symbol,
     fields and items tuples of values, records and sequences nested at
     most `limit` deep (the text syntax reads MAX_DEPTH). Raise ValueError
     otherwise. The walk stops at the limit, so it cannot exhaust the stack."""
@@ -492,14 +516,22 @@ def check_value(v, limit: int = MAX_DEPTH) -> Value:
 
 def _check_nodes(v, room: int, limit: int):
     cls = v.__class__
+    atom = _ATOM_FIELDS.get(cls)
+    if atom is not None:
+        name, typ = atom
+        x = getattr(v, name)
+        if x.__class__ is not typ:
+            raise ValueError("%s.%s is %s, not %s" % (cls.__name__, name, type(x).__name__, typ.__name__))
+        if x != x:
+            raise ValueError("NaN is not a value: it equals nothing, so it could never be retracted")
+        return
     if cls is Record:
         if v.label.__class__ is not Symbol:
             raise ValueError("record label is %s, not a Symbol" % type(v.label).__name__)
+        _check_nodes(v.label, room, limit)
         kids = v.fields
     elif cls is Sequence:
         kids = v.items
-    elif cls in _ATOM_TYPES:
-        return
     else:
         raise ValueError("%s is not a value" % cls.__name__)
     if kids.__class__ is not tuple:
@@ -507,8 +539,7 @@ def _check_nodes(v, room: int, limit: int):
     if not room:
         raise ValueError("nesting deeper than %d levels" % limit)
     for k in kids:
-        if k.__class__ not in _ATOM_TYPES:
-            _check_nodes(k, room - 1, limit)
+        _check_nodes(k, room - 1, limit)
 
 
 def _read_quoted(text: str, i: int, what: str):

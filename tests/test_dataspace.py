@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,14 +18,21 @@ from facetspace.dataspace import (
     PatchEvent,
     Quit,
     Retract,
+    Spawn,
+    TurnRecord,
     render_action,
     render_event,
 )
 from facetspace.values import (
     MESSAGE,
+    Boolean,
+    Decimal,
     Integer,
     Record,
     Sequence,
+    Symbol,
+    Text,
+    Unique,
     lit,
     message_interest,
     observe,
@@ -243,6 +251,51 @@ def test_malformed_batch_is_a_crash(batch, caplog):
     assert r.events == [("+", rec("cell", 2))]
 
 
+# Atoms whose field holds the wrong type: each renders as text that does not
+# parse, parses to another value, or raises in the trace writer. ids are
+# spelled out, since repr renders the value.
+_BAD_ATOMS = [
+    pytest.param(Symbol(5), id="Symbol(5)"),
+    pytest.param(Text(3), id="Text(3)"),
+    pytest.param(Unique("a"), id="Unique('a')"),
+    pytest.param(Integer(True), id="Integer(True)"),
+    pytest.param(Integer("5"), id="Integer('5')"),
+    pytest.param(Decimal(5), id="Decimal(5)"),
+    pytest.param(Decimal(math.nan), id="Decimal(nan)"),
+    pytest.param(Boolean(1), id="Boolean(1)"),
+    pytest.param(Record(Symbol(5), ()), id="label-Symbol(5)"),
+]
+
+
+@pytest.mark.parametrize("atom", _BAD_ATOMS)
+def test_an_atom_holding_the_wrong_type_is_refused_where_it_enters(atom, caplog):
+    sink = io.StringIO()
+    ds = Dataspace(trace_sink=sink)
+    r = spawn_recorder(ds, cap("x"), messages=True)
+    ds.run_until_quiescent()
+    for bad in [atom, rec("cell", atom), Sequence((atom,))]:
+        with pytest.raises(ValueError):
+            ds.inject_message(bad)
+        assert not ds.queue
+    # published from a facet, it crashes that turn only
+    aid = ds.spawn(lambda f: (f.publish(rec("ok")), f.publish(rec("cell", atom))))
+    ds.spawn(lambda f: f.publish(rec("after")))
+    ds.run_until_quiescent()
+    assert not ds.is_alive(aid)
+    assert [t.crashed for t in ds.trace if t.actor == aid] == [True]
+    assert [t.actor for t in ds.trace if t.crashed] == [aid]
+    assert rec("ok") not in ds.bag and rec("after") in ds.bag
+    assert ("+", rec("after")) in r.events and ("+", rec("ok")) not in r.events
+    lines = sink.getvalue().splitlines()
+    assert len(lines) == len(ds.trace)
+    assert [json.loads(line)["crashed"] for line in lines] == [t.crashed for t in ds.trace]
+    assert '"crashed":true' in lines[[t.actor for t in ds.trace].index(aid)]
+    for line in lines:
+        record = json.loads(line)
+        for text in [record["event"]] + record["actions"]:
+            parse(text)
+
+
 def test_retract_unheld_warns_and_is_ignored(caplog):
     ds = Dataspace()
     r = spawn_recorder(ds, CELL)
@@ -378,6 +431,47 @@ def test_trace_record_json_shape():
     )
     obj = json.loads(line)
     assert list(obj) == ["turn", "actor", "event", "actions", "crashed"]
+
+
+def _json_dumps_line(record):
+    """The trace writer TurnRecord.to_json replaced: json.dumps of a dict."""
+    return json.dumps(
+        {
+            "turn": record.turn,
+            "actor": record.actor,
+            "event": render_event(record.event),
+            "actions": [render_action(a) for a in record.actions],
+            "crashed": record.crashed,
+        },
+        separators=(",", ":"),
+    )
+
+
+# st.text() draws non-ASCII, astral and control characters; the rest are
+# the characters the JSON and symbol escapes treat specially
+_strings = st.text(st.characters() | st.sampled_from('"\\|\x00\x1f\x7f\u2028\U0001f600'))
+_atom = _strings.map(Text) | _strings.map(Symbol)
+_traced = _atom | st.builds(lambda label, fs: Record(label, tuple(fs)), _strings.map(Symbol), st.lists(_atom, max_size=3))
+_event = st.one_of(
+    st.just(BootEvent()),
+    _traced.map(MessageEvent),
+    st.builds(lambda a, r: PatchEvent(Patch(tuple(a), tuple(r))), st.lists(_traced, max_size=3), st.lists(_traced, max_size=3)),
+)
+_action = st.one_of(
+    _traced.map(Assert),
+    _traced.map(Retract),
+    _traced.map(Message),
+    st.builds(Spawn, st.just(lambda f: None), st.none() | st.integers(0, 10**6)),
+    st.just(Quit()),
+)
+
+
+@given(st.builds(TurnRecord, st.integers(0, 10**9), st.integers(0, 10**6), _event,
+                 st.lists(_action, max_size=3), st.booleans()))
+def test_trace_line_is_what_json_dumps_writes(record):
+    line = record.to_json()
+    assert line == _json_dumps_line(record)
+    assert line.isascii()
 
 
 def test_trace_sink_receives_lines(tmp_path):

@@ -3,13 +3,13 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import drive_cmd, named_puppet_boot, reference_match, spawn_recorder
 from facetspace import Dataspace, Integer, Record, Symbol, cap, lit, rec, rpat, sym
 from facetspace.dataspace import Assert, MessageEvent, PatchEvent
 from facetspace.forms import during, state_machine
-from facetspace.values import observe, to_value
+from facetspace.values import instantiate, observe, to_value
 from facetspace.facets import Actor, DeadFieldAccess, HandlerEndpoint, render_tree
 from facetspace.market import bank_account_boot
 from golden_corpus import republish_boot
@@ -560,18 +560,19 @@ def _run(f, body):
 def _play_program(ds_class, program, inputs, after_turn=lambda ds: None):
     """Run a program beside a puppet, calling after_turn(ds) after every
     turn; a list input is one batch of puppet assertions and retractions of
-    items. Returns the JSONL trace."""
+    items, and a tuple of inputs is injected together before the next turn.
+    Returns the JSONL trace."""
     sink = io.StringIO()
     ds = ds_class(trace_sink=sink)
     ds.spawn(named_puppet_boot("p"))
     aid = ds.spawn(lambda f: _run(f, program))
     # the reference run must not fall back to the runtime it checks
     assert (type(ds.actors[aid]) is MatchEveryEndpoint) == (ds_class is ReferenceDispatch)
-    for step in [None, *inputs]:
-        if isinstance(step, list):
-            step = drive_cmd("p", "do-batch", [rec(cmd, v) for cmd, v in step])
-        if step is not None:
-            ds.inject_message(step)
+    for step in [(), *inputs]:
+        for x in step if isinstance(step, tuple) else (step,):
+            if isinstance(x, list):
+                x = drive_cmd("p", "do-batch", [rec(cmd, v) for cmd, v in x])
+            ds.inject_message(x)
         while ds.pending():
             ds.run_turn()
             after_turn(ds)
@@ -610,10 +611,89 @@ def test_assertion_endpoints_follow_their_fields_after_every_turn(program, input
     _play_program(Dataspace, program, inputs, after_turn=_check_dataflow)
 
 
+# ---------------------------------------------------------------------------
+# an endpoint-level oracle: what each on_asserted endpoint has heard
+
+class HearingActor(Actor):
+    """The facet runtime, recording for each on_asserted endpoint how many
+    times its handler ran for each value. The programs' on_asserted patterns
+    hold no wildcard, so a handler's bindings give back the value."""
+
+    def __init__(self, ds, aid, boot):
+        super().__init__(ds, aid, boot)
+        self.heard = {}  # HandlerEndpoint -> Counter of values
+
+    def _run_body(self, facet, body, args=()):
+        if args:  # a handler, run as body(facet, bindings)
+            for ep in facet.endpoints:
+                if ep.kind == "asserted" and ep.fn is body:
+                    self.heard.setdefault(ep, Counter())[instantiate(ep.pattern, args[0]).v] += 1
+        super()._run_body(facet, body, args)
+
+
+class HearingDataspace(Dataspace):
+    def _make_runtime(self, aid, boot):
+        if hasattr(boot, "handle_event"):
+            return boot
+        return HearingActor(self, aid, boot)
+
+
+def _hears_each_present_match_once():
+    """An after_turn hook. When a value becomes present, every endpoint's
+    count of it restarts. At quiescence, every live on_asserted endpoint
+    must have heard, once, each present value its pattern matches; the
+    present values come from the bag and reference_match, not from the
+    routing or dispatch under test."""
+    present = set()
+
+    def after_turn(ds):
+        nonlocal present
+        now = set(ds.bag)
+        appeared = now - present
+        present = now
+        for actor in ds.actors.values():
+            for counts in actor.heard.values():
+                for v in appeared:
+                    counts.pop(v, None)
+        if ds.pending():
+            return
+        for aid, actor in ds.actors.items():
+            for ep in _live_endpoints(actor):
+                if ep.kind != "asserted":
+                    continue
+                heard = actor.heard.get(ep, Counter())
+                for v in ds.bag:
+                    if reference_match(ep.pattern, v) is not None:
+                        assert heard[v] == 1, (aid, ep.facet.id, ep.pattern, v, heard[v])
+
+    return after_turn
+
+
+_ITEM = rec("item", 0, 0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a handler endpoint added after its actor was told of a present value never hears "
+    "of it: routing sends no initial patch for a pattern the actor already held, and the "
+    "facet runtime does not replay what it was told",
+)
+@settings(deadline=None)
+@given(_program, st.lists(st.lists(_input, min_size=1, max_size=2).map(tuple), max_size=6))
+# the child's watch holds the pattern its during already holds, so it hears nothing
+@example([("during", 0, [("watch", 0)])], [([("do-assert", _ITEM)],)])
+# the item is routed while the machine's watch is live and arrives after it
+# stopped; a replay of that stale delivery would make the next watch hear it twice
+@example([("machine", 0, [[("watch", 0)], []])], [([("do-assert", _ITEM)], rec("hit", 0, 1)), (rec("hit", 0, 0),)])
+def test_every_live_endpoint_hears_each_present_match_once(program, steps):
+    _play_program(HearingDataspace, program, steps, after_turn=_hears_each_present_match_once())
+
+
 def test_reference_runtimes_override_only_what_their_base_defines():
     # an override of a name the base no longer has is never called, and the
     # reference would silently check the runtime against itself
-    for cls in (ReferenceDispatch, MatchEveryEndpoint, RefilterEveryTurn):
+    for cls in (ReferenceDispatch, MatchEveryEndpoint, RefilterEveryTurn, HearingDataspace, HearingActor):
         (base,) = cls.__bases__
         own = [name for name, x in vars(cls).items() if callable(x)]
         assert own and [n for n in own if not callable(getattr(base, n, None))] == [], cls

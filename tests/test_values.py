@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,11 @@ def test_to_value_conversions():
     assert to_value(Symbol("x")) == Symbol("x")
     with pytest.raises(TypeError):
         to_value(object())
+    # a subclass instance is converted to its base type, which check_value requires
+    for x, v in [(IntEnum("E", "a").a, Integer(1)), (type("F", (float,), {})(2.5), Decimal(2.5)),
+                 (type("S", (str,), {})("hi"), Text("hi"))]:
+        got = to_value(x)
+        assert got == v and check_value(got) is got
 
 
 def test_rec_converts_fields():
@@ -276,7 +282,8 @@ def test_unpickled_value_rehashes_under_another_hash_seed():
 def test_values_refuse_assignment():
     v = rec("price", 40)
     hash(v)
-    for name in ("label", "fields", "_hash"):
+    render(v)
+    for name in ("label", "fields", "_hash", "_text"):
         with pytest.raises(FrozenInstanceError):
             setattr(v, name, Integer(1))
         with pytest.raises(FrozenInstanceError):
@@ -285,6 +292,26 @@ def test_values_refuse_assignment():
         Symbol("s").name = "t"
     assert [f.name for f in fields(v)] == ["label", "fields"]
     assert v.__getstate__() == [Symbol("price"), (Integer(40),)]
+
+
+# ---------------------------------------------------------------------------
+# text cache
+
+@given(_values(st.text().map(Symbol)), st.booleans())
+def test_cached_text_agrees_with_a_fresh_equal_value(v, render_original_first):
+    w = parse(render(pickle.loads(pickle.dumps(v))))  # a copy renders; v's cache stays empty
+    first, second = (v, w) if render_original_first else (w, v)
+    t = render(first)  # fills first's cache (and its children's) only
+    assert w == v
+    assert render(second) == t
+    assert render(first) is t
+
+
+def test_unpickled_value_renders_the_same():
+    t = render(_PICKLED)  # cached before pickling
+    v = pickle.loads(pickle.dumps(_PICKLED))
+    assert getattr(v, "_text", None) is None  # the cache is not pickle state
+    assert render(v) == t
 
 
 # ---------------------------------------------------------------------------
