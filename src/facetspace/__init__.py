@@ -9,22 +9,16 @@ from .facets import Actor, DeadFieldAccess, Facet, Field, render_tree
 from .forms import during, on_timeout, query_map, state_machine, stop_when
 from .values import (
     Boolean,
-    Capture,
     Decimal,
     Integer,
-    Literal,
     Record,
-    RecordPat,
     Sequence,
-    SequencePat,
     Symbol,
     Text,
     Unique,
     Value,
-    Wildcard,
+    WILDCARD,
     cap,
-    decode,
-    encode,
     lit,
     match,
     observe,

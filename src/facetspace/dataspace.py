@@ -25,7 +25,6 @@ from .values import (
     Value,
     check_value,
     compile_test,
-    decode,
     match,
     render,
     to_value,
@@ -160,8 +159,8 @@ class Dataspace:
         # tables iterate in ascending id order.
         self.bag: dict = {}  # present Value -> {actor id -> count > 0}: the only counts
         self.actors: dict = {}  # live actor id -> runtime
-        # actor id -> {observe Value it holds -> decoded Pattern}; routing
-        # calls each pattern's compiled test, p._test, never match
+        # actor id -> {observe Value it holds -> its field, the Pattern};
+        # routing calls each pattern's compiled test, p._test, never match
         self.interests: dict = {}
         self.queue: deque = deque()
         self.trace: list = []
@@ -277,12 +276,12 @@ class Dataspace:
         if not held:
             table.pop(v, None)  # a malformed interest has no entry
             return
+        p = v.fields[0]
         try:
-            p = decode(v.fields[0])
+            compile_test(p)
         except MalformedPatternEncoding:
             log.warning("actor %d asserted malformed interest %s", aid, render(v))
             return
-        compile_test(p)
         table[v] = p
 
     def _apply(self, aid, actions):

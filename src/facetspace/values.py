@@ -1,8 +1,8 @@
 """Immutable value algebra, pattern matching, and the canonical text rendering.
 
 Values are the currency of everything that crosses the shared medium:
-assertions, messages, and (encoded) interest patterns. They are deeply
-immutable and hashable, so they can be shared freely.
+assertions, messages, and interest patterns, which are values too. They
+are deeply immutable and hashable, so they can be shared freely.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ class UnboundCapture(KeyError):
 # Values
 
 class _Value:
-    """Slotted base of the value classes. Its slots cache the value's hash
-    and its canonical text; dataclass fields, equality and pickle state
-    never see them."""
-    __slots__ = ("_hash", "_text")
+    """Slotted base of the value classes. Its slots cache the value's hash,
+    its canonical text, and, for a value used as a pattern, its compiled
+    test and capture paths (see compile_test); dataclass fields, equality
+    and pickle state never see them."""
+    __slots__ = ("_hash", "_text", "_test", "_captures")
 
 
 def _value_hash(self) -> int:
@@ -90,7 +91,7 @@ class Unique(_Value):
 
 Value = Union[Symbol, Integer, Decimal, Text, Boolean, Sequence, Record, Unique]
 
-# Record labels reserved for the runtime's pattern encoding.
+# Record labels the runtime gives meaning: interests and pattern holes.
 OBSERVE = Symbol("observe")
 WILDCARD_LABEL = Symbol("wildcard")
 CAPTURE_LABEL = Symbol("capture")
@@ -138,95 +139,50 @@ def rec(label: Union[str, Symbol], *fields) -> Record:
 
 
 # ---------------------------------------------------------------------------
-# Patterns
+# Patterns are values: p's holes are the records (wildcard) and
+# (capture "name"), so the interest assertion (observe p) holds p as is.
 
-class _Pattern:
-    """Base of the pattern classes. The compiled test and capture paths that
-    compile_test keeps on a pattern are closures, so pickle carries only the
-    dataclass fields, and a loaded pattern compiles afresh."""
+Pattern = Value  # a value read with its hole-labelled records as holes
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in ("_test", "_captures")}
+_HOLE_LABELS = (WILDCARD_LABEL, CAPTURE_LABEL)
 
-
-@dataclass(frozen=True)
-class Wildcard(_Pattern):
-    def __repr__(self):
-        return "_"
+WILDCARD = Record(WILDCARD_LABEL, ())
 
 
-WILDCARD = Wildcard()
+def cap(name: str) -> Record:
+    return Record(CAPTURE_LABEL, (Text(name),))
 
 
-@dataclass(frozen=True)
-class Capture(_Pattern):
-    name: str
-
-    def __repr__(self):
-        return "$" + self.name
-
-
-@dataclass(frozen=True)
-class Literal(_Pattern):
-    v: Value
-
-    def __repr__(self):
-        return repr(self.v)
+def lit(x) -> Value:
+    """x as a pattern that matches only x. A value holding a record labelled
+    wildcard or capture is refused: as a pattern it would read as a hole."""
+    v = to_value(x)
+    if _holds_hole_label(v):
+        raise ValueError("literal %s holds a record labelled wildcard or capture, "
+                         "which as a pattern would read as a hole" % render(v))
+    return v
 
 
-@dataclass(frozen=True)
-class RecordPat(_Pattern):
-    label: Symbol
-    fields: tuple
-
-    def __repr__(self):
-        return "(%s)" % " ".join([self.label.name] + [repr(f) for f in self.fields])
-
-
-@dataclass(frozen=True)
-class SequencePat(_Pattern):
-    items: tuple
-
-    def __repr__(self):
-        return "[%s]" % " ".join(repr(i) for i in self.items)
+def _holds_hole_label(v: Value) -> bool:
+    cls = v.__class__
+    if cls is Record:
+        return v.label in _HOLE_LABELS or any(map(_holds_hole_label, v.fields))
+    if cls is Sequence:
+        return any(map(_holds_hole_label, v.items))
+    return False
 
 
-Pattern = Union[Wildcard, Capture, Literal, RecordPat, SequencePat]
-_PATTERN_TYPES = (Wildcard, Capture, Literal, RecordPat, SequencePat)
+def rpat(label: Union[str, Symbol], *fields) -> Record:
+    """Record pattern: rec, refusing a hole label."""
+    r = rec(label, *fields)
+    if r.label in _HOLE_LABELS:
+        raise ValueError("record pattern %s is labelled %s, so it would read as a hole, "
+                         "not as a record pattern" % (render(r), r.label.name))
+    return r
 
 
-def lit(x) -> Literal:
-    return Literal(to_value(x))
-
-
-def cap(name: str) -> Capture:
-    return Capture(name)
-
-
-def _to_pattern(x) -> Pattern:
-    if isinstance(x, _PATTERN_TYPES):
-        return x
-    return Literal(to_value(x))
-
-
-def rpat(label: Union[str, Symbol], *fields) -> Pattern:
-    """Record pattern; collapses to a Literal when every field is ground.
-
-    The collapse keeps patterns canonical, so that decode(encode(p)) = p.
-    """
-    if isinstance(label, str):
-        label = Symbol(label)
-    pats = tuple(_to_pattern(f) for f in fields)
-    if all(isinstance(p, Literal) for p in pats):
-        return Literal(Record(label, tuple(p.v for p in pats)))
-    return RecordPat(label, pats)
-
-
-def spat(*items) -> Pattern:
-    pats = tuple(_to_pattern(i) for i in items)
-    if all(isinstance(p, Literal) for p in pats):
-        return Literal(Sequence(tuple(p.v for p in pats)))
-    return SequencePat(pats)
+def spat(*items) -> Sequence:
+    return Sequence(tuple(to_value(i) for i in items))
 
 
 def capture_names(p: Pattern) -> list:
@@ -260,17 +216,18 @@ def match(p: Pattern, v: Value) -> Optional[dict]:
 
 def compile_test(p: Pattern) -> Callable[[Value], bool]:
     """The test t of whether p matches v, built on the first call and kept
-    on p as ``p._test`` (as a value keeps its hash), with ``p._captures``:
-    each capture's (name, field/item indices) in pre-order. It builds no
-    bindings. A record or sequence node checks class, label and arity, then
-    only the fields that are not wildcards or captures; a literal compares
-    identity, the cached hashes, then ==."""
+    in p's ``_test`` slot (as its hash is kept in ``_hash``), with
+    ``_captures``: each capture's (name, field/item indices) in pre-order.
+    It builds no bindings. In one walk of p, a node with no hole gets a
+    literal test: identity, the cached hashes, then ==. A node with a hole
+    checks class, label and arity, then only the fields that are not holes.
+    A malformed hole raises MalformedPatternEncoding."""
     try:
         return p._test
     except AttributeError:
         caps = []
-        t = _compile(p, (), caps)
-        object.__setattr__(p, "_captures", tuple(caps))  # patterns are frozen dataclasses
+        t = _compile(p, (), caps) or _literal_test(p)
+        object.__setattr__(p, "_captures", tuple(caps))  # values are frozen
         object.__setattr__(p, "_test", t)
         return t
 
@@ -279,18 +236,25 @@ def _always(v) -> bool:
     return True
 
 
-def _compile(p: Pattern, path: tuple, caps: list) -> Callable[[Value], bool]:
-    if isinstance(p, Capture):
-        caps.append((p.name, path))
-        return _always
-    if isinstance(p, Wildcard):
-        return _always
-    if isinstance(p, Literal):
-        return _literal_test(p.v)
-    if isinstance(p, RecordPat):
-        return _record_test(p.label, len(p.fields), _field_tests(p.fields, path, caps))
-    if isinstance(p, SequencePat):
-        return _sequence_test(len(p.items), _field_tests(p.items, path, caps))
+def _compile(p: Pattern, path: tuple, caps: list) -> Optional[Callable[[Value], bool]]:
+    """The test of node p, or None if p holds no hole. Each capture's
+    (name, path) is appended to caps."""
+    cls = p.__class__
+    if cls is Record:
+        label, fs = p.label, p.fields
+        if label in _HOLE_LABELS:
+            if label == CAPTURE_LABEL and len(fs) == 1 and fs[0].__class__ is Text:
+                caps.append((fs[0].s, path))
+            elif fs or label == CAPTURE_LABEL:  # (wildcard) takes no field
+                raise MalformedPatternEncoding(render(p))
+            return _always
+        checks = _field_tests(fs, path, caps)
+        return None if checks is None else _record_test(label, len(fs), checks)
+    if cls is Sequence:
+        checks = _field_tests(p.items, path, caps)
+        return None if checks is None else _sequence_test(len(p.items), checks)
+    if cls in _ATOM_FIELDS:
+        return None
     raise TypeError("not a pattern: %r" % (p,))
 
 
@@ -310,10 +274,13 @@ def _literal_test(lv: Value):
     return test
 
 
-def _field_tests(pats, path: tuple, caps: list) -> tuple:
-    """The (index, test) of each field to check: wildcards and captures pass."""
-    tests = [(i, _compile(q, path + (i,), caps)) for i, q in enumerate(pats)]
-    return tuple((i, t) for i, t in tests if t is not _always)
+def _field_tests(pats, path: tuple, caps: list) -> Optional[tuple]:
+    """The (index, test) of each field that is not a hole, or None if no
+    field holds one; a field with no hole gets a literal test."""
+    tests = [_compile(q, path + (i,), caps) for i, q in enumerate(pats)]
+    if not any(tests):
+        return None
+    return tuple((i, t or _literal_test(q)) for i, (q, t) in enumerate(zip(pats, tests)) if t is not _always)
 
 
 def _record_test(label: Symbol, n: int, checks: tuple):
@@ -347,79 +314,34 @@ def _sequence_test(n: int, checks: tuple):
 
 
 def instantiate(p: Pattern, b: dict) -> Pattern:
-    """Replace each capture by the literal it is bound to; keep wildcards."""
-    if isinstance(p, Capture):
-        if p.name not in b:
-            raise UnboundCapture(p.name)
-        return Literal(b[p.name])
-    if isinstance(p, RecordPat):
-        return rpat(p.label, *[instantiate(f, b) for f in p.fields])
-    if isinstance(p, SequencePat):
-        return spat(*[instantiate(i, b) for i in p.items])
+    """Replace each capture by the literal (see lit) it is bound to; keep
+    wildcards."""
+    compile_test(p)  # refuses a malformed hole
+    return _substitute(p, b)
+
+
+def _substitute(p: Pattern, b: dict) -> Pattern:
+    cls = p.__class__
+    if cls is Record:
+        if p.label == CAPTURE_LABEL:
+            name = p.fields[0].s
+            if name not in b:
+                raise UnboundCapture(name)
+            return lit(b[name])
+        return Record(p.label, tuple(_substitute(f, b) for f in p.fields))
+    if cls is Sequence:
+        return Sequence(tuple(_substitute(i, b) for i in p.items))
     return p
-
-
-# ---------------------------------------------------------------------------
-# Pattern <-> Value encoding: interests are themselves assertions.
-
-def encode(p: Pattern) -> Value:
-    if isinstance(p, Wildcard):
-        return Record(WILDCARD_LABEL, ())
-    if isinstance(p, Capture):
-        return Record(CAPTURE_LABEL, (Text(p.name),))
-    if isinstance(p, Literal):
-        if _holds_reserved_label(p.v):
-            raise ValueError(
-                "literal %s holds a record labelled wildcard or capture; "
-                "its encoding would decode as a pattern, not as itself" % render(p.v)
-            )
-        return p.v
-    if isinstance(p, RecordPat):
-        if p.label in (WILDCARD_LABEL, CAPTURE_LABEL):
-            raise ValueError(
-                "record pattern %r is labelled %s; its encoding would decode as "
-                "a wildcard or capture, not as a record pattern" % (p, p.label.name)
-            )
-        return Record(p.label, tuple(encode(f) for f in p.fields))
-    if isinstance(p, SequencePat):
-        return Sequence(tuple(encode(i) for i in p.items))
-    raise TypeError("not a pattern: %r" % (p,))
-
-
-def _holds_reserved_label(v: Value) -> bool:
-    if isinstance(v, Record):
-        return v.label in (WILDCARD_LABEL, CAPTURE_LABEL) or any(map(_holds_reserved_label, v.fields))
-    if isinstance(v, Sequence):
-        return any(map(_holds_reserved_label, v.items))
-    return False
-
-
-def decode(v: Value) -> Pattern:
-    """Invert encode. Ground values decode to Literal of themselves, so a
-    plain assertion doubles as an exact-match pattern."""
-    if isinstance(v, Record):
-        if v.label == WILDCARD_LABEL:
-            if v.fields:
-                raise MalformedPatternEncoding(render(v))
-            return WILDCARD
-        if v.label == CAPTURE_LABEL:
-            if len(v.fields) != 1 or not isinstance(v.fields[0], Text):
-                raise MalformedPatternEncoding(render(v))
-            return Capture(v.fields[0].s)
-        return rpat(v.label, *[decode(f) for f in v.fields])
-    if isinstance(v, Sequence):
-        return spat(*[decode(i) for i in v.items])
-    return Literal(v)
 
 
 def observe(p: Pattern) -> Record:
     """The interest assertion for pattern p."""
-    return Record(OBSERVE, (encode(p),))
+    return Record(OBSERVE, (p,))
 
 
 def message_interest(p: Pattern) -> Record:
     """The interest assertion for messages matching p."""
-    return Record(OBSERVE, (Record(MESSAGE, (encode(p),)),))
+    return Record(OBSERVE, (Record(MESSAGE, (p,)),))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +363,7 @@ def _render(v: Value) -> str:
     if isinstance(v, Integer):
         return str(v.n)
     if isinstance(v, Decimal):
-        return repr(v.x)
+        return repr(v.x + 0.0)  # -0.0 == 0.0: one value, one text
     if isinstance(v, Text):
         return '"%s"' % v.s.replace("\\", "\\\\").replace('"', '\\"')
     if isinstance(v, Boolean):

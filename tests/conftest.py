@@ -6,14 +6,10 @@ import os
 from hypothesis import settings
 
 from facetspace import (
-    Capture,
     Dataspace,
-    Literal,
     Record,
-    RecordPat,
     Sequence,
-    SequencePat,
-    Wildcard,
+    Text,
     cap,
     lit,
     rec,
@@ -31,24 +27,23 @@ def reference_match(p, v):
     """Match p against a ground value; returns bindings or None. Total.
     An interpretive walk of the pattern, kept apart from `values.match`
     (which reads its bindings off the compiled test) so that tests can
-    compare the two."""
-    if isinstance(p, Wildcard):
-        return {}
-    if isinstance(p, Capture):
-        return {p.name: v}
-    if isinstance(p, Literal):
-        return {} if p.v == v else None
-    if isinstance(p, RecordPat):
+    compare the two. A (wildcard) record with no field and a (capture …)
+    record holding one Text are holes; any other atom compares by ==."""
+    if isinstance(p, Record):
+        if p.label == sym("wildcard") and not p.fields:
+            return {}
+        if p.label == sym("capture") and len(p.fields) == 1 and isinstance(p.fields[0], Text):
+            return {p.fields[0].s: v}
         if not isinstance(v, Record) or v.label != p.label:
             return None
         if len(v.fields) != len(p.fields):
             return None
         return _reference_match_all(p.fields, v.fields)
-    if isinstance(p, SequencePat):
+    if isinstance(p, Sequence):
         if not isinstance(v, Sequence) or len(v.items) != len(p.items):
             return None
         return _reference_match_all(p.items, v.items)
-    raise TypeError("not a pattern: %r" % (p,))
+    return {} if p == v else None
 
 
 def _reference_match_all(pats, vals):

@@ -364,6 +364,19 @@ def test_initial_patch_lists_values_in_the_order_they_last_became_present():
     assert ds.query(CELL) == order
 
 
+def test_a_late_observer_is_told_one_text_for_zero_whoever_holds_it():
+    # Decimal(-0.0) equals Decimal(0.0), so the bag keeps one entry for both,
+    # under whichever object arrived first; both render as 0.0
+    ds = Dataspace()
+    (a, b, c), _ = spawn_poked(ds, "a", "b", "c")
+    poke(ds, a, Assert(rec("x", Decimal(-0.0))))
+    poke(ds, b, Assert(rec("x", Decimal(0.0))))
+    poke(ds, c, Assert(rec("x", Decimal(-0.0))), Retract(rec("x", Decimal(0.0))))  # net nothing
+    r = spawn_recorder(ds, rpat("x", cap("v")))
+    ds.run_until_quiescent()
+    assert [render_event(p) for p in r.patches] == ["(patch (added (x 0.0)) (removed))"]
+
+
 def test_spawned_child_boots_after_patches():
     child = Scripted()
     from facetspace.dataspace import Spawn
@@ -408,6 +421,13 @@ def test_malformed_interest_warns(caplog):
     poke(ds, a, Retract(bad), Retract(bad))
     poke(ds, a, Assert(bad))
     assert caplog.text.count("malformed interest") == 2
+    # every malformed hole, wherever it sits, is logged and ignored alike
+    for hole in [rec("wildcard", 1), rec("capture", "x", "y"), rec("capture")]:
+        for bad in [rec("observe", hole), rec("observe", rec("price", 40, hole))]:
+            caplog.clear()
+            poke(ds, a, Assert(bad))
+            assert caplog.text.count("malformed interest") == 1
+            assert ds.bag[bad] == {aid: 1} and bad not in ds.interests[aid] and ds.is_alive(aid)
 
 
 def test_query_in_insertion_order():

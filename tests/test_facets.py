@@ -9,7 +9,7 @@ from conftest import drive_cmd, named_puppet_boot, reference_match, spawn_record
 from facetspace import Dataspace, Integer, Record, Symbol, cap, lit, rec, rpat, sym
 from facetspace.dataspace import Assert, MessageEvent, PatchEvent
 from facetspace.forms import during, state_machine
-from facetspace.values import instantiate, observe, to_value
+from facetspace.values import compile_test, instantiate, observe, to_value
 from facetspace.facets import Actor, DeadFieldAccess, HandlerEndpoint, render_tree
 from facetspace.market import bank_account_boot
 from golden_corpus import republish_boot
@@ -222,8 +222,8 @@ def test_crash_skips_stop_handlers():
 
 
 def test_literal_holding_a_reserved_label_crashes_the_installing_turn():
-    # the encoding would route (wildcard) as a wildcard interest, so the
-    # actor would be sent every assertion; the endpoint is refused instead
+    # as a pattern (wildcard) is a hole, so the actor would be sent every
+    # assertion; lit refuses it instead
     ds = Dataspace()
     seen = []
     ds.spawn(lambda f: f.publish(rec("price", 40)))
@@ -235,8 +235,8 @@ def test_literal_holding_a_reserved_label_crashes_the_installing_turn():
 
 
 def test_record_pattern_with_a_reserved_label_crashes_the_installing_turn():
-    # (observe (wildcard (capture "x"))) would be a malformed interest that
-    # leaves the actor alive with an endpoint that never fires
+    # (wildcard (capture "x")) would be a malformed hole that leaves the
+    # actor alive with an endpoint that never fires; rpat refuses it instead
     ds = Dataspace()
     seen = []
     ds.spawn(lambda f: f.publish(rec("wildcard", 1)))
@@ -245,6 +245,43 @@ def test_record_pattern_with_a_reserved_label_crashes_the_installing_turn():
     assert not ds.is_alive(aid)
     assert [r.crashed for r in ds.trace if r.actor == aid] == [True]
     assert seen == []
+
+
+def test_a_during_that_sees_a_hole_in_a_value_crashes():
+    # the value it sees holds (capture "y"); as the pattern of the child's
+    # on_retracted it would be a hole, so instantiate refuses it
+    sink = io.StringIO()
+    ds = Dataspace(trace_sink=sink)
+    ds.spawn(lambda f: during(f, rpat("item", cap("x")), lambda cf, b: None))
+    ds.spawn(named_puppet_boot("a"))
+    quiesce(ds)
+    ds.inject_message(drive_cmd("a", "do-assert", rec("item", rec("capture", "y"))))
+    quiesce(ds)
+    assert not ds.is_alive(0)
+    assert sink.getvalue().splitlines() == [
+        '{"turn":0,"actor":0,"event":"(boot)","actions":["(assert (observe (item (capture \\"x\\"))))"],"crashed":false}',
+        '{"turn":1,"actor":1,"event":"(boot)","actions":["(assert (observe (message (drive a (capture \\"cmd\\")))))"],'
+        '"crashed":false}',
+        '{"turn":2,"actor":1,"event":"(message (drive a (do-assert (item (capture \\"y\\")))))",'
+        '"actions":["(assert (item (capture \\"y\\")))"],"crashed":false}',
+        '{"turn":3,"actor":0,"event":"(patch (added (item (capture \\"y\\"))) (removed))","actions":[],"crashed":true}',
+    ]
+
+
+def test_an_endpoint_and_the_routing_table_share_one_compiled_pattern():
+    ds = Dataspace()
+    eps = []
+    aid = ds.spawn(lambda f: eps.extend([f.on_asserted(rpat("price", cap("p")), lambda hf, b: None),
+                                         f.on_message(rpat("tick", cap("n")), lambda hf, b: None)]))
+    quiesce(ds)
+    asserted, message = eps
+    assert asserted.current.fields[0] is asserted.pattern
+    assert message.current.fields[0].fields[0] is message.pattern
+    table = ds.interests[aid]
+    assert table[asserted.current] is asserted.pattern
+    assert table[message.current] is message.current.fields[0]
+    for ep in eps:
+        assert compile_test(ep.pattern) is ep.pattern._test
 
 
 def test_publishing_a_record_with_a_non_symbol_label_crashes_the_turn(tmp_path):
@@ -627,7 +664,7 @@ class HearingActor(Actor):
         if args:  # a handler, run as body(facet, bindings)
             for ep in facet.endpoints:
                 if ep.kind == "asserted" and ep.fn is body:
-                    self.heard.setdefault(ep, Counter())[instantiate(ep.pattern, args[0]).v] += 1
+                    self.heard.setdefault(ep, Counter())[instantiate(ep.pattern, args[0])] += 1
         super()._run_body(facet, body, args)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import os
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields
@@ -15,16 +16,12 @@ import facetspace
 from conftest import reference_match
 from facetspace.values import (
     Boolean,
-    Capture,
     Decimal,
     Integer,
-    Literal,
     MalformedPatternEncoding,
     ParseError,
     Record,
-    RecordPat,
     Sequence,
-    SequencePat,
     Symbol,
     Text,
     UnboundCapture,
@@ -35,8 +32,6 @@ from facetspace.values import (
     check_linear,
     check_value,
     compile_test,
-    decode,
-    encode,
     instantiate,
     lit,
     match,
@@ -88,6 +83,12 @@ def test_render_golden():
     assert render(Text("text")) == '"text"'
     assert render(rec("order-result", rec("order", Unique(0)), sym("fulfilled"))) == \
         "(order-result (order #u0) fulfilled)"
+
+
+def test_negative_zero_renders_as_zero():
+    # -0.0 == 0.0: one value, one text
+    assert render(Decimal(-0.0)) == "0.0" == render(Decimal(0.0))
+    assert render(rec("x", -0.0)) == "(x 0.0)"
 
 
 def test_render_escapes_strings():
@@ -207,37 +208,59 @@ def _holds_reserved(v):
     return False
 
 
-# draw the labels the pattern encoding reserves often enough to hit them
+# draw the labels of pattern holes often enough to hit them
 _labels = st.sampled_from(["wildcard", "capture"]).map(Symbol) | _symbols
 
 
 @given(_values(_labels))
-def test_ground_decode_is_literal(v):
+def test_lit_of_a_ground_value_is_itself(v):
+    # a value with no hole is a pattern that matches exactly the values equal to it
     if _holds_reserved(v):
         with pytest.raises(ValueError, match="wildcard or capture"):
-            encode(Literal(v))
+            lit(v)
     else:
-        assert decode(encode(Literal(v))) == Literal(v)
+        assert lit(v) is v
+        assert match(v, parse(render(v))) == {} and capture_names(v) == []
 
 
-def test_encode_rejects_literals_holding_reserved_labels():
+def test_lit_refuses_values_holding_hole_labels():
     for v in [
         rec("wildcard"),
         rec("capture", "x"),
+        rec("capture", 3),
         rec("price", rec("capture", "x")),
         rec("price", 40, Sequence((rec("wildcard"),))),
     ]:
         with pytest.raises(ValueError) as e:
-            encode(lit(v))
+            lit(v)
         assert render(v) in str(e.value)
-        with pytest.raises(ValueError):
-            observe(rpat("quote", cap("q"), lit(v)))
+    assert lit(40) == Integer(40) and lit([1, "a"]) == Sequence((Integer(1), Text("a")))
 
 
-def test_encode_rejects_record_patterns_with_reserved_labels():
-    for p in [rpat("wildcard", cap("x")), rpat("capture", WILDCARD), rpat("price", rpat("wildcard", cap("x")))]:
-        with pytest.raises(ValueError, match="record pattern \\((wildcard|capture) "):
-            encode(p)
+def test_rpat_refuses_hole_labels():
+    for label, fields in [("wildcard", ()), ("wildcard", (cap("x"),)), ("capture", ("x",)), (sym("capture"), (WILDCARD,))]:
+        with pytest.raises(ValueError, match="record pattern \\((wildcard|capture)"):
+            rpat(label, *fields)
+    assert rpat("price", lit(40)) == rec("price", 40)  # a ground record pattern is the record
+
+
+def test_a_raw_hole_record_in_a_pattern_is_a_hole():
+    # no lit wraps it, so (capture "x") given as an rpat field is a capture
+    p = rpat("price", rec("capture", "x"), rec("wildcard"))
+    assert p == rpat("price", cap("x"), WILDCARD)
+    assert match(p, rec("price", 40, 1)) == {"x": Integer(40)}
+    assert match(spat(rec("capture", "y")), Sequence((Integer(2),))) == {"y": Integer(2)}
+
+
+def test_compile_test_refuses_malformed_holes():
+    for bad in [rec("capture", 3), rec("wildcard", 1), rec("capture", "x", "y"), rec("capture")]:
+        for p in [bad, rpat("price", 40, bad), spat(WILDCARD, bad)]:
+            with pytest.raises(MalformedPatternEncoding, match=re.escape(render(bad))):
+                compile_test(p)
+            with pytest.raises(MalformedPatternEncoding):
+                match(p, rec("price", 40, 1))
+            with pytest.raises(MalformedPatternEncoding):
+                instantiate(p, {})
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +374,10 @@ def test_instantiate():
     assert match(q, rec("f", 4, 99)) is None
     with pytest.raises(UnboundCapture):
         instantiate(p, {})
+    # a bound value is substituted through lit: one holding a hole is refused
+    assert instantiate(rpat("f", cap("x")), {"x": 3}) == rec("f", 3)
+    with pytest.raises(ValueError, match="wildcard or capture"):
+        instantiate(p, {"x": cap("y")})
 
 
 # Atoms that share a hash: Integer(1), Decimal(1.0) and Boolean(True) are
@@ -386,14 +413,14 @@ def _pattern_for(draw, v, fit=False):
     if kind == "cap":
         return cap(draw(st.sampled_from(["x", "y"])))
     if kind == "lit" or not isinstance(v, (Record, Sequence)):
-        return Literal(v if kind != "other" else draw(_small_values))
+        return v if kind != "other" else draw(_small_values)
     subs = [draw(_pattern_for(x, fit)) for x in (v.fields if isinstance(v, Record) else v.items)]
     if subs and not fit and draw(st.booleans()) and draw(st.booleans()):
         del subs[draw(st.integers(0, len(subs) - 1))]
     if isinstance(v, Record):
         other = _LABELS[v.label == _LABELS[0]]
-        return RecordPat(v.label if fit else draw(st.sampled_from([v.label, v.label, other])), tuple(subs))
-    return SequencePat(tuple(subs))
+        return Record(v.label if fit else draw(st.sampled_from([v.label, v.label, other])), tuple(subs))
+    return Sequence(tuple(subs))
 
 
 @given(st.data())
@@ -427,8 +454,12 @@ def test_compiled_test_compares_hash_colliding_literals_by_value():
 
 def test_compiled_test_is_kept_on_the_pattern():
     p = rpat("a", cap("x"))
-    assert compile_test(p) is compile_test(p)
+    assert compile_test(p) is compile_test(p) is p._test
     assert p == rpat("a", cap("x")) and hash(p) == hash(rpat("a", cap("x")))
+    # a pattern with no hole compiles to the literal test of the whole value
+    g = rpat("a", 1, spat(2))
+    assert compile_test(g)(rec("a", 1, [2])) and not compile_test(g)(rec("a", 1, [3]))
+    assert g._captures == () and compile_test(g).__qualname__ == "_literal_test.<locals>.test"
 
 
 def test_compiled_pattern_round_trips_through_pickle():
@@ -442,7 +473,10 @@ def test_compiled_pattern_round_trips_through_pickle():
     assert [match(q, v) for v in values] == want == [{"x": Integer(1), "y": Integer(4)}, None, None]
 
 
-@given(_values(), _values())
+_ground_values = _values().filter(lambda v: not _holds_reserved(v))
+
+
+@given(_ground_values, _ground_values)
 def test_instantiate_then_match_recovers_bindings(a, b):
     p = rpat("pair", cap("x"), cap("y"))
     v = rec("pair", a, b)
@@ -452,38 +486,18 @@ def test_instantiate_then_match_recovers_bindings(a, b):
 
 
 # ---------------------------------------------------------------------------
-# pattern encoding
-
-def test_rpat_collapses_ground_patterns():
-    assert rpat("price", lit(40)) == Literal(rec("price", 40))
-    assert spat(lit(1), lit(2)) == Literal(Sequence((Integer(1), Integer(2))))
-    assert isinstance(rpat("price", cap("p")), type(rpat("x", cap("y"))))
-
-
-def test_encode_decode_round_trip():
-    pats = [
-        WILDCARD,
-        cap("x"),
-        lit(rec("price", 40)),
-        rpat("order", cap("id"), WILDCARD, lit(5)),
-        spat(cap("a"), WILDCARD),
-        rpat("observe", cap("inner")),  # nesting through reserved labels
-    ]
-    for p in pats:
-        assert decode(encode(p)) == p
-
-
-def test_decode_malformed():
-    with pytest.raises(MalformedPatternEncoding):
-        decode(rec("capture", 3))  # capture needs one Text field
-    with pytest.raises(MalformedPatternEncoding):
-        decode(rec("wildcard", 1))
-
+# interests
 
 def test_observe_shapes():
-    p = rpat("price", cap("p"))
-    o = observe(p)
-    assert o.label == Symbol("observe")
-    assert decode(o.fields[0]) == p
-    m = message_interest(p)
-    assert m.fields[0].label == Symbol("message")
+    # an interest holds its pattern as is: the pattern is a value
+    for p in [WILDCARD, cap("x"), lit(rec("price", 40)), rpat("order", cap("id"), WILDCARD, lit(5)),
+              spat(cap("a"), WILDCARD), rpat("observe", cap("inner"))]:
+        o = observe(p)
+        assert o.label == Symbol("observe") and o.fields[0] is p
+        m = message_interest(p)
+        assert m.fields[0].label == Symbol("message") and m.fields[0].fields[0] is p
+        assert parse(render(o)) == o and check_value(o) is o
+    assert render(observe(rpat("price", cap("p"), WILDCARD))) == '(observe (price (capture "p") (wildcard)))'
+    # a pattern over interests reads the interest's pattern as a value
+    meta = rpat("observe", rpat("price", cap("p")))
+    assert match(meta, observe(rpat("price", cap("q")))) == {"p": cap("q")}
