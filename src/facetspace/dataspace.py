@@ -25,6 +25,7 @@ from .values import (
     Value,
     check_value,
     compile_test,
+    index_key,
     match,
     render,
     to_value,
@@ -162,6 +163,9 @@ class Dataspace:
         # actor id -> {observe Value it holds -> its field, the Pattern};
         # routing calls each pattern's compiled test, p._test, never match
         self.interests: dict = {}
+        # the same patterns filed by index_key(p): key -> {(actor id,
+        # observe Value) -> Pattern}; a bucket goes with its last entry
+        self.index: dict = {}
         self.queue: deque = deque()
         self.trace: list = []
         self.clock = None  # installed by the timer driver, if any
@@ -272,17 +276,21 @@ class Dataspace:
     def _note_interest(self, aid, v, held):
         if not (isinstance(v, Record) and v.label == OBSERVE and len(v.fields) == 1):
             return
-        table = self.interests[aid]
+        table, p = self.interests[aid], v.fields[0]
         if not held:
-            table.pop(v, None)  # a malformed interest has no entry
+            if table.pop(v, None) is not None:  # a malformed interest has no entry
+                bucket = self.index[index_key(p)]
+                del bucket[aid, v]
+                if not bucket:
+                    del self.index[index_key(p)]
             return
-        p = v.fields[0]
         try:
             compile_test(p)
         except MalformedPatternEncoding:
             log.warning("actor %d asserted malformed interest %s", aid, render(v))
             return
         table[v] = p
+        self.index.setdefault(index_key(p), {})[aid, v] = p
 
     def _apply(self, aid, actions):
         was_present: dict = {}
@@ -307,20 +315,28 @@ class Dataspace:
         return Patch(added, removed), messages, boots, quit_requested, before
 
     def _message_deliveries(self, v):
-        wrapper = Record(MESSAGE, (v,))
-        out = []
-        for aid, table in self.interests.items():
-            if any(p._test(wrapper) for p in table.values()):
-                out.append((aid, MessageEvent(v)))
+        return [(aid, MessageEvent(v)) for aid in sorted(self._interested(Record(MESSAGE, (v,))))]
+
+    def _interested(self, v) -> set:
+        """The ids of the actors holding a pattern that matches v. Only the
+        patterns filed under v's key and the catch-all key, None, are tested;
+        a value labelled wildcard or capture is itself keyed None."""
+        out = set()
+        for key in {index_key(v), None}:
+            for (aid, _), p in self.index.get(key, {}).items():
+                if aid not in out and p._test(v):
+                    out.add(aid)
         return out
 
     def _terminate(self, aid) -> Patch:
         """Remove all of an actor's bag contributions and its table slots."""
         removed = []
         for v, per in list(self.bag.items()):
-            if per.pop(aid, 0) and not per:
-                del self.bag[v]
-                removed.append(v)
+            if per.pop(aid, 0):
+                self._note_interest(aid, v, 0)  # takes the interest out of the index
+                if not per:
+                    del self.bag[v]
+                    removed.append(v)
         del self.actors[aid], self.interests[aid]
         self.queue = deque((a, e) for a, e in self.queue if a != aid)
         return Patch((), tuple(removed))
@@ -335,24 +351,26 @@ class Dataspace:
         change its patterns in a turn, judged over the whole turn: `before`
         holds them as the turn began (P0), `interests` as it ended (P1); any
         other actor's P0 is its P1. A removed value goes out when a P0 and a
-        P1 pattern both match it, an added value when a P1 pattern does. A
-        gained pattern brings an initial patch, before the regular one, of
-        the present values, in bag order, that it matches, that the turn did
-        not add and that no P0 pattern matches. So a turn with an empty
-        patch and no gained pattern routes nothing.
+        P1 pattern both match it, an added value when a P1 pattern (found in
+        the index) does. A gained pattern brings an initial patch, before the
+        regular one, of the present values, in bag order, that it matches,
+        that the turn did not add and that no P0 pattern matches. So a turn
+        with an empty patch and no gained pattern routes nothing.
         """
         gained = [p for k, p in self.interests.get(actor, {}).items() if k not in before]
         if not (patch.added or patch.removed or gained):
             return []
+        told = {}  # actor id -> (added, removed), each in patch order
+        for i, vs in enumerate((patch.added, patch.removed)):
+            for v in vs:
+                for aid in self._interested(v):
+                    if not (i and aid == actor) or any(p._test(v) for p in before.values()):
+                        told.setdefault(aid, ([], []))[i].append(v)
         out = []
-        for aid, table in self.interests.items():
-            tests = [p._test for p in table.values()]
+        for aid in self.interests:
             new = old = ()
-            f_removed = tuple(v for v in patch.removed if any(t(v) for t in tests))
             if aid == actor:
                 new, old = [p._test for p in gained], [p._test for p in before.values()]
-                f_removed = tuple(v for v in f_removed if any(t(v) for t in old))
-            f_added = tuple(v for v in patch.added if any(t(v) for t in tests))
             init_added = tuple(
                 v
                 for v in self.bag
@@ -362,8 +380,8 @@ class Dataspace:
             )
             if init_added:
                 out.append((aid, PatchEvent(Patch(init_added, ()))))
-            if f_added or f_removed:
-                out.append((aid, PatchEvent(Patch(f_added, f_removed))))
+            if aid in told:
+                out.append((aid, PatchEvent(Patch(*map(tuple, told[aid])))))
         return out
 
 

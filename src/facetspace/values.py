@@ -344,6 +344,22 @@ def message_interest(p: Pattern) -> Record:
     return Record(OBSERVE, (Record(MESSAGE, (p,)),))
 
 
+def index_key(v: Value):
+    """The key a value or pattern is filed under for routing: a record's
+    label name and arity, a sequence's length, an atom itself, and None, the
+    catch-all key, for a record labelled wildcard or capture; (message x) is
+    keyed as x is. A pattern matches only values that share its key, or any
+    value if its key is None."""
+    while v.__class__ is Record and len(v.fields) == 1 and v.label == MESSAGE:
+        v = v.fields[0]
+    cls = v.__class__
+    if cls is Record:
+        return None if v.label in _HOLE_LABELS else (v.label.name, len(v.fields))
+    if cls is Sequence:
+        return len(v.items)
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Canonical text rendering and its parser (used for traces and script files).
 

@@ -56,6 +56,33 @@ def _reference_match_all(pats, vals):
     return out
 
 
+def reference_key(p):
+    """The index key routing must file pattern p under, spelled out apart
+    from the dataspace's own: a record's label name and arity, a sequence's
+    length, an atom itself, None for a top-level hole; (message q) is keyed
+    as q is."""
+    if isinstance(p, Record):
+        if p.label == sym("message") and len(p.fields) == 1:
+            return reference_key(p.fields[0])
+        if p.label in (sym("wildcard"), sym("capture")):
+            return None
+        return (p.label.name, len(p.fields))
+    if isinstance(p, Sequence):
+        return len(p.items)
+    return p
+
+
+def assert_index_matches_interests(ds):
+    """ds.index holds each (actor, observe value) of ds.interests once, under
+    its pattern's key, and nothing else: no empty bucket, and no entry for a
+    terminated actor or a malformed interest, which ds.interests lacks."""
+    want = {}
+    for aid, table in ds.interests.items():
+        for v, p in table.items():
+            want.setdefault(reference_key(p), {})[aid, v] = p
+    assert ds.index == want
+
+
 def named_puppet_boot(name: str):
     """Puppet keyed by name so several can coexist: messages of the form
     (drive <name> (do-assert v)) / (do-retract v) / (do-send v) / (do-batch [..])."""

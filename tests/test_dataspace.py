@@ -5,8 +5,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import drive_cmd, named_puppet_boot, reference_match, spawn_recorder
-from facetspace import Dataspace, cap, rec, render, rpat, sym
+from conftest import (
+    assert_index_matches_interests,
+    drive_cmd,
+    named_puppet_boot,
+    reference_match,
+    spawn_recorder,
+)
+from facetspace import Dataspace, cap, rec, render, rpat, spat, sym
 from facetspace.dataspace import (
     Assert,
     BootEvent,
@@ -430,6 +436,54 @@ def test_malformed_interest_warns(caplog):
             assert ds.bag[bad] == {aid: 1} and bad not in ds.interests[aid] and ds.is_alive(aid)
 
 
+def test_deliveries_go_in_ascending_actor_id_whatever_order_interests_arrived():
+    # the younger actor b files its interests first, so they come first in
+    # their index bucket; the older a still hears every patch and message first
+    ds = Dataspace()
+    (a, b, h), (aid, bid, hid) = spawn_poked(ds, "a", "b", "h")
+    poke(ds, b, Assert(message_interest(CELL)), Assert(observe(CELL)))
+    poke(ds, a, Assert(observe(CELL)), Assert(message_interest(CELL)))
+    assert_index_matches_interests(ds)
+    for batch in ([Assert(rec("cell", 1)), Message(rec("cell", 2))], [Retract(rec("cell", 1))]):
+        h.batches.append(batch)
+        ds.inject_message(rec("poke", sym("h")))
+        assert ds.run_turn().actor == hid
+        kinds = [(x, type(e)) for x, e in ds.queue]
+        assert kinds[:2] == [(aid, PatchEvent), (bid, PatchEvent)]
+        assert kinds[2:] == [(aid, MessageEvent), (bid, MessageEvent)][: len(kinds) - 2]
+        ds.run_until_quiescent()
+    assert a.events == b.events == [("+", rec("cell", 1)), ("-", rec("cell", 1))]
+
+
+def test_a_top_level_capture_interest_hears_every_message():
+    # (capture "x") matches the (message v) wrapper routing tests a message
+    # against, so an actor holding only (observe (capture "x")) gets a turn
+    # for every message, from an actor or from outside
+    ds = Dataspace()
+    catch_all = Scripted([Assert(observe(cap("x")))])
+    cid = ds.spawn(catch_all)
+    ds.spawn(Scripted([Message(rec("ping", 1)), Message(Integer(5)), Message(spat(1))]))
+    ds.run_until_quiescent()
+    ds.inject_message(rec("other", 2))
+    ds.run_until_quiescent()
+    heard = [e.v for e in catch_all.seen if isinstance(e, MessageEvent)]
+    assert heard == [rec("ping", 1), Integer(5), spat(1), rec("other", 2)]
+    assert [r.actor for r in ds.trace if isinstance(r.event, MessageEvent)] == [cid] * 4
+
+
+def test_a_record_labelled_capture_or_wildcard_is_routed_once():
+    # such a value is keyed as a hole, with the catch-all bucket: looking it
+    # up under its own key and the catch-all key must not route it twice
+    ds = Dataspace()
+    r = spawn_recorder(ds, cap("x"), messages=True)
+    ds.run_until_quiescent()
+    vs = [rec("capture", "y"), rec("wildcard")]
+    ds.spawn(Scripted([Assert(v) for v in vs] + [Message(v) for v in vs]))
+    ds.run_until_quiescent()
+    assert [e for e in r.events if e[1] in vs] == [("+", v) for v in vs] + [("!", v) for v in vs]
+    assert r.patches[-1].patch.added == tuple(vs)
+
+
 def test_query_in_insertion_order():
     ds = Dataspace()
     ds.spawn(Scripted([Assert(rec("cell", 2)), Assert(rec("cell", 1)), Assert(rec("x", 0))]))
@@ -814,16 +868,30 @@ class Chaos(Poked):
         return super().handle_event(event)
 
 
-_SHARED = [observe(CELL), observe(LOW), message_interest(CELL), message_interest(LOW)]
+# one pattern per index bucket shape: two cell patterns sharing a key, a
+# second label of the same arity, cell at another arity, a sequence, a
+# literal atom, and a top-level capture, which is filed under the catch-all key
+_PATTERNS = [CELL, LOW, OTHER, rpat("cell", cap("a"), 1), spat(cap("k")), Integer(1), cap("any")]
+_SHARED = [observe(p) for p in _PATTERNS] + [message_interest(p) for p in _PATTERNS]
+# and values for each, with a record labelled capture, keyed as a hole is
+_VALUES = [rec("cell", k) for k in range(3)] + [
+    rec("other", 1), rec("cell", 2, 1), spat(1), Integer(1), rec("capture", "x")]
 _action = st.sampled_from(
-    [Assert(rec("cell", k)) for k in range(3)]
-    + [Retract(rec("cell", k)) for k in range(3)]
-    + [Message(rec("cell", k)) for k in range(3)]
+    [Assert(v) for v in _VALUES]
+    + [Retract(v) for v in _VALUES]
+    + [Message(v) for v in _VALUES]
     + [Assert(v) for v in _SHARED]
     + [Retract(v) for v in _SHARED]
     + [Quit(), CRASH]
 )
 _schedule = st.lists(st.tuples(st.integers(0, 2), st.lists(_action, max_size=4)), max_size=30)
+
+
+def _settle(ds):
+    """Run to quiescence, checking the interest index after every turn."""
+    while ds.pending():
+        ds.run_turn()
+        assert_index_matches_interests(ds)
 
 
 def _play(ds_class, schedule):
@@ -839,8 +907,10 @@ def _play(ds_class, schedule):
             puppets.append(p)
             slots[i] = p
             p.aid = ds.spawn(p)
-            ds.run_until_quiescent()
-        poke(ds, slots[i], *batch)
+            _settle(ds)
+        slots[i].batches.append(list(batch))
+        ds.inject_message(rec("poke", sym(slots[i].name)))
+        _settle(ds)
         assert_told_matches_patterns(ds, *puppets)
     return sink.getvalue(), [p.seen for p in puppets]
 

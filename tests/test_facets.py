@@ -5,7 +5,13 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import drive_cmd, named_puppet_boot, reference_match, spawn_recorder
+from conftest import (
+    assert_index_matches_interests,
+    drive_cmd,
+    named_puppet_boot,
+    reference_match,
+    spawn_recorder,
+)
 from facetspace import Dataspace, Integer, Record, Symbol, cap, lit, rec, rpat, sym
 from facetspace.dataspace import Assert, MessageEvent, PatchEvent
 from facetspace.forms import during, state_machine
@@ -632,7 +638,9 @@ def _live_endpoints(actor):
 
 def _check_dataflow(ds):
     """Every live assertion endpoint holds what its computation gives now,
-    and each actor holds in the bag exactly what its live endpoints hold."""
+    each actor holds in the bag exactly what its live endpoints hold, and
+    the dataspace's interest index holds exactly the interests."""
+    assert_index_matches_interests(ds)
     for aid, actor in ds.actors.items():
         held = Counter()
         for ep in _live_endpoints(actor):
@@ -653,18 +661,21 @@ def test_assertion_endpoints_follow_their_fields_after_every_turn(program, input
 
 class HearingActor(Actor):
     """The facet runtime, recording for each on_asserted endpoint how many
-    times its handler ran for each value. The programs' on_asserted patterns
-    hold no wildcard, so a handler's bindings give back the value."""
+    times its handler ran for each value, and the same for each on_retracted
+    endpoint. The programs' asserted and retracted patterns hold no
+    wildcard, so a handler's bindings give back the value."""
 
     def __init__(self, ds, aid, boot):
         super().__init__(ds, aid, boot)
-        self.heard = {}  # HandlerEndpoint -> Counter of values
+        self.heard = {}  # on_asserted HandlerEndpoint -> Counter of values
+        self.lost = {}  # on_retracted HandlerEndpoint -> Counter of values
 
     def _run_body(self, facet, body, args=()):
         if args:  # a handler, run as body(facet, bindings)
             for ep in facet.endpoints:
-                if ep.kind == "asserted" and ep.fn is body:
-                    self.heard.setdefault(ep, Counter())[instantiate(ep.pattern, args[0])] += 1
+                if ep.kind in ("asserted", "retracted") and ep.fn is body:
+                    counts = self.heard if ep.kind == "asserted" else self.lost
+                    counts.setdefault(ep, Counter())[instantiate(ep.pattern, args[0])] += 1
         super()._run_body(facet, body, args)
 
 
@@ -725,6 +736,35 @@ _ITEM = rec("item", 0, 0)
 @example([("machine", 0, [[("watch", 0)], []])], [([("do-assert", _ITEM)], rec("hit", 0, 1)), (rec("hit", 0, 0),)])
 def test_every_live_endpoint_hears_each_present_match_once(program, steps):
     _play_program(HearingDataspace, program, steps, after_turn=_hears_each_present_match_once())
+
+
+def _hears_each_retraction_at_most_once_per_presence():
+    """An after_turn hook. No on_retracted endpoint has heard a value's
+    retraction more often than the value has left the bag: at most once per
+    presence. The departures are counted from the bag, not from the routing
+    or dispatch under test."""
+    present, departures = set(), Counter()
+
+    def after_turn(ds):
+        nonlocal present
+        now = set(ds.bag)
+        departures.update(present - now)
+        present = now
+        for aid, actor in ds.actors.items():
+            for ep, counts in actor.lost.items():
+                for v, n in counts.items():
+                    assert n <= departures[v], (aid, ep.facet.id, ep.pattern, v, n, departures[v])
+
+    return after_turn
+
+
+@settings(deadline=None)
+@given(_program, st.lists(st.lists(_input, min_size=1, max_size=2).map(tuple), max_size=6))
+# two endpoints of one actor watch the item, and it comes and goes twice
+@example([("during", 0, [("watch", 0)]), ("watch", 0)],
+         [([("do-assert", _ITEM)],), ([("do-retract", _ITEM)],)] * 2)
+def test_every_live_endpoint_hears_each_retraction_at_most_once_per_presence(program, steps):
+    _play_program(HearingDataspace, program, steps, after_turn=_hears_each_retraction_at_most_once_per_presence())
 
 
 def test_reference_runtimes_override_only_what_their_base_defines():
