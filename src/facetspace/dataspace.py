@@ -20,12 +20,12 @@ from .values import (
     OBSERVE,
     MalformedPatternEncoding,
     Pattern,
+    PatternIndex,
     Record,
     Unique,
     Value,
     check_value,
     compile_test,
-    index_key,
     match,
     render,
     to_value,
@@ -163,9 +163,9 @@ class Dataspace:
         # actor id -> {observe Value it holds -> its field, the Pattern};
         # routing calls each pattern's compiled test, p._test, never match
         self.interests: dict = {}
-        # the same patterns filed by index_key(p): key -> {(actor id,
-        # observe Value) -> Pattern}; a bucket goes with its last entry
-        self.index: dict = {}
+        # the same patterns, each filed under (actor id, observe Value) by
+        # what a value must hold to match it
+        self.index = PatternIndex()
         self.queue: deque = deque()
         self.trace: list = []
         self.clock = None  # installed by the timer driver, if any
@@ -278,11 +278,9 @@ class Dataspace:
             return
         table, p = self.interests[aid], v.fields[0]
         if not held:
-            if table.pop(v, None) is not None:  # a malformed interest has no entry
-                bucket = self.index[index_key(p)]
-                del bucket[aid, v]
-                if not bucket:
-                    del self.index[index_key(p)]
+            p = table.pop(v, None)  # the copy filed; v's own field may be another
+            if p is not None:  # a malformed interest has no entry
+                self.index.remove((aid, v), p)
             return
         try:
             compile_test(p)
@@ -290,7 +288,7 @@ class Dataspace:
             log.warning("actor %d asserted malformed interest %s", aid, render(v))
             return
         table[v] = p
-        self.index.setdefault(index_key(p), {})[aid, v] = p
+        self.index.add((aid, v), p)
 
     def _apply(self, aid, actions):
         was_present: dict = {}
@@ -319,13 +317,11 @@ class Dataspace:
 
     def _interested(self, v) -> set:
         """The ids of the actors holding a pattern that matches v. Only the
-        patterns filed under v's key and the catch-all key, None, are tested;
-        a value labelled wildcard or capture is itself keyed None."""
+        index's candidates for v are tested."""
         out = set()
-        for key in {index_key(v), None}:
-            for (aid, _), p in self.index.get(key, {}).items():
-                if aid not in out and p._test(v):
-                    out.add(aid)
+        for (aid, _), p in self.index.candidates(v):
+            if aid not in out and p._test(v):
+                out.add(aid)
         return out
 
     def _terminate(self, aid) -> Patch:

@@ -11,6 +11,7 @@ relevant :class:`Facet` as their first argument.
 from __future__ import annotations
 
 import logging
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .dataspace import (
@@ -25,6 +26,7 @@ from .dataspace import (
 )
 from .values import (
     Pattern,
+    PatternIndex,
     check_linear,
     match,
     message_interest,
@@ -97,7 +99,7 @@ class AssertEndpoint:
 
 
 class HandlerEndpoint:
-    __slots__ = ("facet", "kind", "pattern", "fn", "current")
+    __slots__ = ("facet", "kind", "pattern", "fn", "current", "order")
 
     def __init__(self, facet, kind, pattern, fn):
         self.facet = facet
@@ -105,6 +107,9 @@ class HandlerEndpoint:
         self.pattern = pattern
         self.fn = fn
         self.current = message_interest(pattern) if kind == "message" else observe(pattern)
+        # where a walk of the facet tree in pre-order, then through each
+        # facet's endpoints, meets it: endpoints are only ever appended
+        self.order = (facet.id, len(facet.endpoints))
 
 
 class Facet:
@@ -147,6 +152,7 @@ class Facet:
         check_linear(pattern)
         ep = HandlerEndpoint(self, kind, pattern, fn)
         self.endpoints.append(ep)
+        self.actor.handlers[kind].add(ep, pattern)
         self.actor.actions.append(Assert(ep.current))
         return ep
 
@@ -204,6 +210,9 @@ class Actor:
         self.actions = []
         self._evaluating = None
         self._dirty = {}  # ordered set of AssertEndpoints
+        # event kind -> the live HandlerEndpoints of that kind, each filed
+        # under its pattern
+        self.handlers = {kind: PatternIndex() for kind in ("asserted", "retracted", "message")}
 
     # -- scheduler interface ------------------------------------------------
 
@@ -233,23 +242,25 @@ class Actor:
             self._run_body(facet, h)
 
     def _dispatch(self, event):
+        """Run the handler of each live endpoint whose pattern matches a
+        value of the event that its kind reads, in the order of a walk of
+        the facet tree: facet pre-order, then endpoint order, then value
+        order. Only the index's candidates are matched."""
         if isinstance(event, PatchEvent):
-            sides = {"asserted": event.patch.added, "retracted": event.patch.removed}
+            sides = (("asserted", event.patch.added), ("retracted", event.patch.removed))
         else:
-            sides = {"message": (event.v,)}
+            sides = (("message", (event.v,)),)
         invocations = []
-
-        def walk(f):
-            for ep in f.endpoints:
-                for v in sides.get(ep.kind, ()):
-                    b = match(ep.pattern, v)
-                    if b is not None:
-                        invocations.append((ep, b))
-            for c in f.children:
-                walk(c)
-
-        walk(self.root)
-        for ep, bindings in invocations:
+        for kind, vs in sides:
+            index = self.handlers[kind]
+            if index:
+                for j, v in enumerate(vs):
+                    for ep, p in index.candidates(v):
+                        b = match(p, v)
+                        if b is not None:
+                            invocations.append((ep.order, j, ep, b))
+        invocations.sort(key=itemgetter(0, 1))
+        for _order, _j, ep, bindings in invocations:
             if not ep.facet.alive:
                 continue
             self._run_body(ep.facet, ep.fn, (bindings,))
@@ -286,6 +297,8 @@ class Actor:
             for ep in f.endpoints:
                 if ep.kind is None:
                     ep.drop_reads()
+                else:
+                    self.handlers[ep.kind].remove(ep, ep.pattern)
                 self.actions.append(Retract(ep.current))
             f.children = []
             f.endpoints = []

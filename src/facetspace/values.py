@@ -27,9 +27,9 @@ class UnboundCapture(KeyError):
 class _Value:
     """Slotted base of the value classes. Its slots cache the value's hash,
     its canonical text, and, for a value used as a pattern, its compiled
-    test and capture paths (see compile_test); dataclass fields, equality
-    and pickle state never see them."""
-    __slots__ = ("_hash", "_text", "_test", "_captures")
+    test, capture paths and constants (see compile_test); dataclass fields,
+    equality and pickle state never see them."""
+    __slots__ = ("_hash", "_text", "_test", "_captures", "_consts")
 
 
 def _value_hash(self) -> int:
@@ -145,6 +145,7 @@ def rec(label: Union[str, Symbol], *fields) -> Record:
 Pattern = Value  # a value read with its hole-labelled records as holes
 
 _HOLE_LABELS = (WILDCARD_LABEL, CAPTURE_LABEL)
+_HOLE_NAMES = tuple(label.name for label in _HOLE_LABELS)
 
 WILDCARD = Record(WILDCARD_LABEL, ())
 
@@ -217,17 +218,25 @@ def match(p: Pattern, v: Value) -> Optional[dict]:
 def compile_test(p: Pattern) -> Callable[[Value], bool]:
     """The test t of whether p matches v, built on the first call and kept
     in p's ``_test`` slot (as its hash is kept in ``_hash``), with
-    ``_captures``: each capture's (name, field/item indices) in pre-order.
-    It builds no bindings. In one walk of p, a node with no hole gets a
-    literal test: identity, the cached hashes, then ==. A node with a hole
-    checks class, label and arity, then only the fields that are not holes.
-    A malformed hole raises MalformedPatternEncoding."""
+    ``_captures``: each capture's (name, field/item indices) in pre-order,
+    and ``_consts``: p's constants as (paths, values), the path and value of
+    each field with no hole under a node with one, in path order, or
+    (((),), (p,)) for a p with no hole; a value p matches holds each of
+    these values at its path. It builds no bindings. In one walk of p, a
+    node with no hole gets a literal test: identity, the cached hashes, then
+    ==. A node with a hole checks class, label and arity, then only the
+    fields that are not holes. A malformed hole raises
+    MalformedPatternEncoding."""
     try:
         return p._test
     except AttributeError:
-        caps = []
-        t = _compile(p, (), caps) or _literal_test(p)
+        caps, consts = [], []
+        t = _compile(p, (), caps, consts)
+        if t is None:
+            t, consts = _literal_test(p), [((), p)]
+        consts.sort()  # the paths differ, so only they are compared
         object.__setattr__(p, "_captures", tuple(caps))  # values are frozen
+        object.__setattr__(p, "_consts", tuple(zip(*consts)) or ((), ()))
         object.__setattr__(p, "_test", t)
         return t
 
@@ -236,9 +245,10 @@ def _always(v) -> bool:
     return True
 
 
-def _compile(p: Pattern, path: tuple, caps: list) -> Optional[Callable[[Value], bool]]:
+def _compile(p: Pattern, path: tuple, caps: list, consts: list) -> Optional[Callable[[Value], bool]]:
     """The test of node p, or None if p holds no hole. Each capture's
-    (name, path) is appended to caps."""
+    (name, path) is appended to caps, and each constant's (path, value) to
+    consts."""
     cls = p.__class__
     if cls is Record:
         label, fs = p.label, p.fields
@@ -248,10 +258,10 @@ def _compile(p: Pattern, path: tuple, caps: list) -> Optional[Callable[[Value], 
             elif fs or label == CAPTURE_LABEL:  # (wildcard) takes no field
                 raise MalformedPatternEncoding(render(p))
             return _always
-        checks = _field_tests(fs, path, caps)
+        checks = _field_tests(fs, path, caps, consts)
         return None if checks is None else _record_test(label, len(fs), checks)
     if cls is Sequence:
-        checks = _field_tests(p.items, path, caps)
+        checks = _field_tests(p.items, path, caps, consts)
         return None if checks is None else _sequence_test(len(p.items), checks)
     if cls in _ATOM_FIELDS:
         return None
@@ -274,13 +284,21 @@ def _literal_test(lv: Value):
     return test
 
 
-def _field_tests(pats, path: tuple, caps: list) -> Optional[tuple]:
+def _field_tests(pats, path: tuple, caps: list, consts: list) -> Optional[tuple]:
     """The (index, test) of each field that is not a hole, or None if no
-    field holds one; a field with no hole gets a literal test."""
-    tests = [_compile(q, path + (i,), caps) for i, q in enumerate(pats)]
+    field holds one; a field with no hole gets a literal test and is a
+    constant."""
+    tests = [_compile(q, path + (i,), caps, consts) for i, q in enumerate(pats)]
     if not any(tests):
         return None
-    return tuple((i, t or _literal_test(q)) for i, (q, t) in enumerate(zip(pats, tests)) if t is not _always)
+    checks = []
+    for i, (q, t) in enumerate(zip(pats, tests)):
+        if t is None:
+            consts.append((path + (i,), q))
+            checks.append((i, _literal_test(q)))
+        elif t is not _always:
+            checks.append((i, t))
+    return tuple(checks)
 
 
 def _record_test(label: Symbol, n: int, checks: tuple):
@@ -349,14 +367,69 @@ def index_key(v: Value):
     label name and arity, a sequence's length, an atom itself, and None, the
     catch-all key, for a record labelled wildcard or capture; (message x) is
     keyed as x is. A pattern matches only values that share its key, or any
-    value if its key is None."""
-    while v.__class__ is Record and len(v.fields) == 1 and v.label == MESSAGE:
+    value if its key is None. Labels are compared by name, a str: a value's
+    labels are Symbols (see check_value), and Symbol == is slower."""
+    while v.__class__ is Record and len(v.fields) == 1 and v.label.name == "message":
         v = v.fields[0]
     cls = v.__class__
     if cls is Record:
-        return None if v.label in _HOLE_LABELS else (v.label.name, len(v.fields))
+        name = v.label.name
+        return None if name in _HOLE_NAMES else (name, len(v.fields))
     if cls is Sequence:
         return len(v.items)
+    return v
+
+
+class PatternIndex(dict):
+    """Patterns filed by what a value must hold to match them: index_key(p),
+    then p's constant paths, then the constants at those paths (see
+    compile_test), then {entry: p}. An emptied level goes with its last
+    entry, so two indexes that file the same entries are equal, as dicts."""
+
+    __slots__ = ()
+
+    def add(self, entry, p: Pattern):
+        """File entry under p, which must be compiled."""
+        paths, consts = p._consts
+        self.setdefault(index_key(p), {}).setdefault(paths, {}).setdefault(consts, {})[entry] = p
+
+    def remove(self, entry, p: Pattern):
+        key = index_key(p)
+        paths, consts = p._consts
+        groups = self[key]
+        by_consts = groups[paths]
+        bucket = by_consts[consts]
+        del bucket[entry]
+        if not bucket:
+            del by_consts[consts]
+            if not by_consts:
+                del groups[paths]
+                if not groups:
+                    del self[key]
+
+    def candidates(self, v: Value) -> list:
+        """Each (entry, p) filed under v's key or the catch-all key whose
+        constants v holds at their paths: every pattern that can match v,
+        and some that do not; confirm with p's test. A path v is too shallow
+        for, or that runs into an atom, finds nothing."""
+        key = index_key(v)
+        out = []
+        for groups in (self.get(key), None if key is None else self.get(None)):
+            if groups:
+                for paths, by_consts in groups.items():
+                    bucket = by_consts.get(tuple([_at(v, path) for path in paths]) if paths else ())
+                    if bucket:
+                        out += bucket.items()
+        return out
+
+
+def _at(v: Value, path: tuple) -> Optional[Value]:
+    """The node of v at path, or None if v has none there."""
+    try:
+        for i in path:
+            v = v.fields[i] if v.__class__ is Record else v.items[i]
+    except (AttributeError, IndexError):  # an atom, or too few fields or items
+        return None
     return v
 
 

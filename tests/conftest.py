@@ -17,9 +17,12 @@ from facetspace import (
     sym,
 )
 from facetspace.dataspace import Assert, MessageEvent, PatchEvent
+from facetspace.facets import Actor
 
-# HYPOTHESIS_PROFILE=ci runs every property deeper, with a fixed seed.
+# HYPOTHESIS_PROFILE=ci runs every property deeper, with a fixed seed;
+# HYPOTHESIS_PROFILE=deep deeper still, for the few CI runs one by one.
 settings.register_profile("ci", derandomize=True, max_examples=300)
+settings.register_profile("deep", derandomize=True, max_examples=2000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
@@ -72,15 +75,80 @@ def reference_key(p):
     return p
 
 
+def _is_hole(p):
+    return isinstance(p, Record) and (
+        (p.label == sym("wildcard") and not p.fields)
+        or (p.label == sym("capture") and len(p.fields) == 1 and isinstance(p.fields[0], Text)))
+
+
+def _holds_hole(p):
+    if _is_hole(p):
+        return True
+    kids = p.fields if isinstance(p, Record) else p.items if isinstance(p, Sequence) else ()
+    return any(_holds_hole(k) for k in kids)
+
+
+def reference_constants(p):
+    """The (paths, constants) an index must file well-formed pattern p
+    under, spelled out apart from `values.compile_test`: in pre-order, the
+    path and value of each field with no hole whose parent holds one, or
+    the root path and p itself if p holds no hole."""
+    if not _holds_hole(p):
+        return ((),), (p,)
+    found = []
+
+    def walk(q, path):
+        if _is_hole(q):
+            return
+        kids = q.fields if isinstance(q, Record) else q.items
+        for i, k in enumerate(kids):
+            if _holds_hole(k):
+                walk(k, path + (i,))
+            else:
+                found.append((path + (i,), k))
+
+    walk(p, ())
+    return tuple(path for path, _ in found), tuple(k for _, k in found)
+
+
+def reference_index(entries):
+    """The nested dict an index of these (entry, pattern) pairs must equal:
+    key, then constant paths, then constants, then {entry: pattern}."""
+    want = {}
+    for entry, p in entries:
+        paths, consts = reference_constants(p)
+        want.setdefault(reference_key(p), {}).setdefault(paths, {}).setdefault(consts, {})[entry] = p
+    return want
+
+
 def assert_index_matches_interests(ds):
     """ds.index holds each (actor, observe value) of ds.interests once, under
-    its pattern's key, and nothing else: no empty bucket, and no entry for a
-    terminated actor or a malformed interest, which ds.interests lacks."""
-    want = {}
-    for aid, table in ds.interests.items():
-        for v, p in table.items():
-            want.setdefault(reference_key(p), {})[aid, v] = p
-    assert ds.index == want
+    its pattern's key and constants, and nothing else: no empty level, and
+    no entry for a terminated actor or a malformed interest, which
+    ds.interests lacks."""
+    assert ds.index == reference_index(
+        ((aid, v), p) for aid, table in ds.interests.items() for v, p in table.items())
+
+
+def assert_endpoint_indexes_match_trees(ds):
+    """Each facet actor's handler index holds, for each event kind, exactly
+    the handler endpoints of that kind found by a walk of its live facet
+    tree, each filed under its pattern and carrying its place in the walk."""
+    for actor in ds.actors.values():
+        if not isinstance(actor, Actor):
+            continue
+        found = []
+        todo = [actor.root] if actor.root is not None and actor.root.alive else []
+        while todo:
+            f = todo.pop()
+            for i, ep in enumerate(f.endpoints):
+                if ep.kind is not None:
+                    assert ep.order == (f.id, i)
+                    found.append(ep)
+            todo.extend(f.children)
+        assert actor.handlers == {
+            kind: reference_index((ep, ep.pattern) for ep in found if ep.kind == kind)
+            for kind in ("asserted", "retracted", "message")}
 
 
 def named_puppet_boot(name: str):

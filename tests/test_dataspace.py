@@ -870,12 +870,21 @@ class Chaos(Poked):
 
 # one pattern per index bucket shape: two cell patterns sharing a key, a
 # second label of the same arity, cell at another arity, a sequence, a
-# literal atom, and a top-level capture, which is filed under the catch-all key
-_PATTERNS = [CELL, LOW, OTHER, rpat("cell", cap("a"), 1), spat(cap("k")), Integer(1), cap("any")]
+# literal atom, and a top-level capture, which is filed under the catch-all
+# key; and (cell _ _) patterns that hold their constants at different paths
+# and depths, or hold no hole at all
+_PATTERNS = [CELL, LOW, OTHER, rpat("cell", cap("a"), 1), spat(cap("k")), Integer(1), cap("any"),
+             rpat("cell", 2, cap("b")), rpat("cell", rpat("pair", 0, cap("y")), cap("x")),
+             lit(rec("cell", 2, 1))]
 _SHARED = [observe(p) for p in _PATTERNS] + [message_interest(p) for p in _PATTERNS]
-# and values for each, with a record labelled capture, keyed as a hole is
+# and values for each, with a record labelled capture, keyed as a hole is;
+# (cell 2 1) fits three groups, (cell (pair 0 3) 1) two, (cell 3 3) none,
+# (cell 5 1) and (cell [] 1) are too shallow for the (pair 0 _) group, and
+# (cell [0 3] 1) holds that group's constant at its path under a sequence
 _VALUES = [rec("cell", k) for k in range(3)] + [
-    rec("other", 1), rec("cell", 2, 1), spat(1), Integer(1), rec("capture", "x")]
+    rec("other", 1), rec("cell", 2, 1), spat(1), Integer(1), rec("capture", "x"),
+    rec("cell", rec("pair", 0, 3), 1), rec("cell", 3, 3), rec("cell", 5, 1), rec("cell", [], 1),
+    rec("cell", [0, 3], 1)]
 _action = st.sampled_from(
     [Assert(v) for v in _VALUES]
     + [Retract(v) for v in _VALUES]

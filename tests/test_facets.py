@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    assert_endpoint_indexes_match_trees,
     assert_index_matches_interests,
     drive_cmd,
     named_puppet_boot,
@@ -14,7 +15,8 @@ from conftest import (
 )
 from facetspace import Dataspace, Integer, Record, Symbol, cap, lit, rec, rpat, sym
 from facetspace.dataspace import Assert, MessageEvent, PatchEvent
-from facetspace.forms import during, state_machine
+from facetspace.drivers import advance_virtual_time, spawn_timer_driver
+from facetspace.forms import during, on_timeout, state_machine
 from facetspace.values import compile_test, instantiate, observe, to_value
 from facetspace.facets import Actor, DeadFieldAccess, HandlerEndpoint, render_tree
 from facetspace.market import bank_account_boot
@@ -541,10 +543,18 @@ class ReferenceDispatch(Dataspace):
 
 
 # A facet program is a list of ops; ops that take a body nest another list.
-# Every message handler listens for (hit k s), so one message can bump a
-# field, stop a facet and move a state machine, in tree order.
+# Every message handler but the catch-all listens for (hit k s), so one
+# message can bump a field, stop a facet and move a state machine, in tree
+# order. The watches hold their constant in the first field, in the second,
+# or hold no hole; a catch-all endpoint hears every message, and a timeout
+# installs its body once the virtual clock has advanced past its delay.
 _key = st.integers(0, 1)
-_leaf = st.one_of(st.tuples(st.just("publish"), _key), st.tuples(st.just("watch"), _key))
+_WATCHES = {
+    "watch": lambda k: rpat("item", lit(k), cap("x")),
+    "watch-last": lambda k: rpat("item", cap("x"), lit(k)),
+    "watch-item": lambda k: lit(rec("item", k, 0)),
+}
+_leaf = st.tuples(st.sampled_from(["publish", *_WATCHES, "any"]), _key)
 
 
 def _op(body):
@@ -554,14 +564,18 @@ def _op(body):
         st.tuples(st.just("stop"), _key, body),
         st.tuples(st.just("during"), _key, body),
         st.tuples(st.just("machine"), _key, st.lists(body, min_size=1, max_size=3)),
+        st.tuples(st.just("timeout"), _key, body),
     )
 
 
 _program = st.recursive(st.lists(_leaf, max_size=3), lambda body: st.lists(_op(body), max_size=4), max_leaves=12)
 _item = st.builds(rec, st.just("item"), _key, st.integers(0, 2))
+# a hit message, a batch of puppet assertions and retractions, or an advance
+# of the virtual clock by that many ms
 _input = st.one_of(
     st.builds(rec, st.just("hit"), _key, st.integers(0, 2)),
     st.lists(st.tuples(st.sampled_from(["do-assert", "do-retract"]), _item), min_size=1, max_size=3),
+    st.sampled_from([10, 20]),
 )
 
 
@@ -581,10 +595,14 @@ def _run(f, body):
             x, k = f.field(0), op[1]
             f.publish(lambda k=k, x=x: rec("out", k, x()))
             f.on_message(_hit(k), lambda hf, _b, x=x: x(x() + 1))
-        elif kind == "watch":
-            k, item = op[1], rpat("item", lit(op[1]), cap("x"))
-            f.on_asserted(item, lambda hf, b, k=k: hf.send(rec("saw", k, b["x"])))
-            f.on_retracted(item, lambda hf, b, k=k: hf.send(rec("lost", k, b["x"])))
+        elif kind in _WATCHES:
+            k, item = op[1], _WATCHES[kind](op[1])
+            f.on_asserted(item, lambda hf, b, k=k: hf.send(rec("saw", k, *b.values())))
+            f.on_retracted(item, lambda hf, b, k=k: hf.send(rec("lost", k, *b.values())))
+        elif kind == "any":
+            x, k = f.field(0), op[1]
+            f.publish(lambda k=k, x=x: rec("heard", k, x()))
+            f.on_message(cap("any"), lambda hf, _b, x=x: x(x() + 1))
         elif kind == "react":
             f.react(_run, op[1])
         elif kind == "stop":
@@ -594,6 +612,8 @@ def _run(f, body):
             k, sub = op[1], op[2]
             during(f, rpat("item", lit(k), cap("x")), lambda cf, b, k=k, sub=sub: (
                 cf.publish(rec("in", k, b["x"])), _run(cf, sub)))
+        elif kind == "timeout":
+            on_timeout(f, 10 * (op[1] + 1), lambda hf, sub=op[2]: _run(hf, sub))
         else:
             n = len(op[2])
             goto = state_machine(f, "m", [("s%d" % i, _state(sub)) for i, sub in enumerate(op[2])])
@@ -601,29 +621,46 @@ def _run(f, body):
 
 
 def _play_program(ds_class, program, inputs, after_turn=lambda ds: None):
-    """Run a program beside a puppet, calling after_turn(ds) after every
-    turn; a list input is one batch of puppet assertions and retractions of
-    items, and a tuple of inputs is injected together before the next turn.
-    Returns the JSONL trace."""
+    """Run a program beside a puppet and a timer driver, calling
+    after_turn(ds) after every turn; a list input is one batch of puppet
+    assertions and retractions of items, an int advances virtual time by
+    that many ms once the turns before it have run, and a tuple of inputs
+    is injected together before the next turn. Returns the JSONL trace."""
     sink = io.StringIO()
     ds = ds_class(trace_sink=sink)
     ds.spawn(named_puppet_boot("p"))
     aid = ds.spawn(lambda f: _run(f, program))
+    spawn_timer_driver(ds)
     # the reference run must not fall back to the runtime it checks
     assert (type(ds.actors[aid]) is MatchEveryEndpoint) == (ds_class is ReferenceDispatch)
+    run_turn = ds.run_turn
+
+    def checked_turn():  # advance_virtual_time runs its turns through this too
+        record = run_turn()
+        after_turn(ds)
+        return record
+
+    ds.run_turn = checked_turn
     for step in [(), *inputs]:
         for x in step if isinstance(step, tuple) else (step,):
+            if isinstance(x, int):
+                ds.run_until_quiescent()
+                advance_virtual_time(ds, x)
+                continue
             if isinstance(x, list):
                 x = drive_cmd("p", "do-batch", [rec(cmd, v) for cmd, v in x])
             ds.inject_message(x)
-        while ds.pending():
-            ds.run_turn()
-            after_turn(ds)
+        ds.run_until_quiescent()
     return sink.getvalue()
 
 
 @settings(deadline=None)
 @given(_program, st.lists(_input, max_size=8))
+# (item 1 $x) and (item 0 $x) in two facets, a catch-all between them: the
+# patch's values arrive in the other order, and the hit is heard by all three
+@example([("react", [("watch", 1), ("publish", 0)]), ("react", [("any", 0)]),
+          ("react", [("watch", 0), ("publish", 0)])],
+         [[("do-assert", rec("item", 0, 0)), ("do-assert", rec("item", 1, 0))], rec("hit", 0, 1)])
 def test_dispatch_matches_a_match_on_every_endpoint(program, inputs):
     assert _play_program(Dataspace, program, inputs) == _play_program(ReferenceDispatch, program, inputs)
 
@@ -638,9 +675,11 @@ def _live_endpoints(actor):
 
 def _check_dataflow(ds):
     """Every live assertion endpoint holds what its computation gives now,
-    each actor holds in the bag exactly what its live endpoints hold, and
-    the dataspace's interest index holds exactly the interests."""
+    each actor holds in the bag exactly what its live endpoints hold, the
+    dataspace's interest index holds exactly the interests, and each actor's
+    endpoint index exactly its live handler endpoints."""
     assert_index_matches_interests(ds)
+    assert_endpoint_indexes_match_trees(ds)
     for aid, actor in ds.actors.items():
         held = Counter()
         for ep in _live_endpoints(actor):

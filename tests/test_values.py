@@ -13,13 +13,15 @@ from hypothesis import given, strategies as st
 
 import facetspace
 
-from conftest import reference_match
+from conftest import reference_constants, reference_match
 from facetspace.values import (
+    MESSAGE,
     Boolean,
     Decimal,
     Integer,
     MalformedPatternEncoding,
     ParseError,
+    PatternIndex,
     Record,
     Sequence,
     Symbol,
@@ -441,6 +443,29 @@ def test_compiled_test_agrees_with_match(data):
         else:
             assert list(got) == list(want), (q, w)
             assert all(got[k] is want[k] for k in want), (q, w)
+
+
+@given(st.data())
+def test_an_index_offers_every_pattern_that_matches(data):
+    """compile_test records the constants reference_constants spells out,
+    and an index holding a pattern offers it for every value it matches,
+    bare or wrapped as a message, whatever else the value holds."""
+    v = data.draw(_nodes(_small_values) | _small_values)
+    p = data.draw(_pattern_for(v) | _pattern_for(data.draw(_small_values)))
+    fit = data.draw(_pattern_for(v, fit=True))
+    others = [v, data.draw(_small_values), data.draw(_nodes(_small_values))]
+    for q in (p, fit, Record(MESSAGE, (p,)), Record(MESSAGE, (fit,))):
+        compile_test(q)
+        assert q._consts == reference_constants(q), q
+        index = PatternIndex()
+        index.add("q", q)
+        for w in others + [Record(MESSAGE, (w,)) for w in others]:
+            offered = list(index.candidates(w))
+            assert offered in ([], [("q", q)]), (q, w)
+            if reference_match(q, w) is not None:
+                assert offered, (q, w)
+        index.remove("q", q)
+        assert index == {}
 
 
 def test_compiled_test_compares_hash_colliding_literals_by_value():
