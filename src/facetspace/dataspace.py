@@ -46,49 +46,49 @@ class MaxTurnsExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 # Actions and events
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assert:
     v: Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Retract:
     v: Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     v: Value
 
 
-@dataclass
+@dataclass(slots=True)
 class Spawn:
     boot: Callable
     child: Optional[int] = None  # filled in when the action is applied
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quit:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Patch:
     added: tuple
     removed: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatchEvent:
     patch: Patch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageEvent:
     v: Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BootEvent:
     pass
 
@@ -122,7 +122,7 @@ def render_action(a) -> str:
     raise TypeError(a)
 
 
-@dataclass
+@dataclass(slots=True)
 class TurnRecord:
     turn: int
     actor: int

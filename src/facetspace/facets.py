@@ -152,7 +152,7 @@ class Facet:
         check_linear(pattern)
         ep = HandlerEndpoint(self, kind, pattern, fn)
         self.endpoints.append(ep)
-        self.actor.handlers[kind].add(ep, pattern)
+        self.actor.handlers.add(ep, pattern)
         self.actor.actions.append(Assert(ep.current))
         return ep
 
@@ -210,9 +210,7 @@ class Actor:
         self.actions = []
         self._evaluating = None
         self._dirty = {}  # ordered set of AssertEndpoints
-        # event kind -> the live HandlerEndpoints of that kind, each filed
-        # under its pattern
-        self.handlers = {kind: PatternIndex() for kind in ("asserted", "retracted", "message")}
+        self.handlers = PatternIndex()  # every live HandlerEndpoint, filed under its pattern
 
     # -- scheduler interface ------------------------------------------------
 
@@ -245,20 +243,20 @@ class Actor:
         """Run the handler of each live endpoint whose pattern matches a
         value of the event that its kind reads, in the order of a walk of
         the facet tree: facet pre-order, then endpoint order, then value
-        order. Only the index's candidates are matched."""
+        order. Only the index's candidates of that kind are matched."""
         if isinstance(event, PatchEvent):
             sides = (("asserted", event.patch.added), ("retracted", event.patch.removed))
         else:
             sides = (("message", (event.v,)),)
         invocations = []
-        for kind, vs in sides:
-            index = self.handlers[kind]
-            if index:
+        if self.handlers:
+            for kind, vs in sides:
                 for j, v in enumerate(vs):
-                    for ep, p in index.candidates(v):
-                        b = match(p, v)
-                        if b is not None:
-                            invocations.append((ep.order, j, ep, b))
+                    for ep, p in self.handlers.candidates(v):
+                        if ep.kind == kind:
+                            b = match(p, v)
+                            if b is not None:
+                                invocations.append((ep.order, j, ep, b))
         invocations.sort(key=itemgetter(0, 1))
         for _order, _j, ep, bindings in invocations:
             if not ep.facet.alive:
@@ -298,7 +296,7 @@ class Actor:
                 if ep.kind is None:
                     ep.drop_reads()
                 else:
-                    self.handlers[ep.kind].remove(ep, ep.pattern)
+                    self.handlers.remove(ep, ep.pattern)
                 self.actions.append(Retract(ep.current))
             f.children = []
             f.endpoints = []

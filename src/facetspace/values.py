@@ -203,13 +203,7 @@ def match(p: Pattern, v: Value) -> Optional[dict]:
     The compiled test decides; each capture is then read at its path."""
     if not compile_test(p)(v):
         return None
-    out = {}
-    for name, path in p._captures:
-        x = v
-        for i in path:
-            x = (x.fields if x.__class__ is Record else x.items)[i]
-        out[name] = x
-    return out
+    return {name: _at(v, path) for name, path in p._captures}
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,36 @@ def test_handler_runs_once_per_matching_value():
     assert sorted(hits) == [1, 2]
 
 
+def test_an_event_runs_only_the_endpoints_of_its_kind_in_tree_order():
+    # an endpoint of each kind on one pattern in each of four facets, all
+    # filed in one index; the root installs its own after its children, so
+    # the index holds them out of tree order
+    ds = Dataspace()
+    runs = []
+    pattern = rpat("cell", cap("k"))
+
+    def install(f, name):
+        for kind in ("asserted", "retracted", "message"):
+            getattr(f, "on_" + kind)(pattern, lambda hf, b, kind=kind: runs.append((kind, name, b["k"].n)))
+
+    def boot(f):
+        for name in ("a", "b", "c"):
+            f.react(install, name)
+        install(f, "root")
+
+    ds.spawn(boot)
+    ds.spawn(named_puppet_boot("p"))
+    quiesce(ds)
+    tree = ("root", "a", "b", "c")
+    for event, kind, n in ((drive_cmd("p", "do-assert", rec("cell", 1)), "asserted", 1),
+                           (drive_cmd("p", "do-retract", rec("cell", 1)), "retracted", 1),
+                           (rec("cell", 2), "message", 2)):
+        runs.clear()
+        ds.inject_message(event)
+        quiesce(ds)
+        assert runs == [(kind, name, n) for name in tree]
+
+
 @pytest.mark.xfail(
     raises=AssertionError,
     reason="routing leaves out of the initial patch what the actor's held patterns already "
