@@ -64,7 +64,7 @@ class Message:
 @dataclass(slots=True)
 class Spawn:
     boot: Callable
-    child: Optional[int] = None  # filled in when the action is applied
+    child: Optional[int] = None  # filled in after the turn's deliveries
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,8 +233,11 @@ class Dataspace:
             crashed = True
             actions = []  # a crash is a turn with no actions that ends the actor
 
-        patch, messages, boots, quit_requested, before = self._apply(aid, actions)
-        self.queue.extend(self._patch_deliveries(patch, aid, before) + messages + boots)
+        before = dict(self.interests[aid])
+        patch, messages, spawns, quit_requested = self._apply(aid, actions)
+        self.queue.extend(self._patch_deliveries(patch, aid, before) + messages)
+        for a in spawns:  # children boot after the turn's deliveries, in action order
+            a.child = self.spawn(a.boot)
         if crashed or quit_requested:
             # _terminate drops the actor's queued events and rebinds the queue
             final = self._patch_deliveries(self._terminate(aid))
@@ -292,9 +295,8 @@ class Dataspace:
 
     def _apply(self, aid, actions):
         was_present: dict = {}
-        before = dict(self.interests[aid])
         messages = []
-        boots = []
+        spawns = []
         quit_requested = False
         for a in actions:
             if isinstance(a, Assert):
@@ -304,13 +306,12 @@ class Dataspace:
             elif isinstance(a, Message):
                 messages.extend(self._message_deliveries(a.v))
             elif isinstance(a, Spawn):
-                a.child = self.spawn(a.boot)
-                boots.append(self.queue.pop())  # re-order after patches/messages
+                spawns.append(a)
             else:
                 quit_requested = True
         added = tuple(v for v, was in was_present.items() if not was and v in self.bag)
         removed = tuple(v for v, was in was_present.items() if was and v not in self.bag)
-        return Patch(added, removed), messages, boots, quit_requested, before
+        return Patch(added, removed), messages, spawns, quit_requested
 
     def _message_deliveries(self, v):
         return [(aid, MessageEvent(v)) for aid in sorted(self._interested(Record(MESSAGE, (v,))))]
@@ -325,17 +326,15 @@ class Dataspace:
         return out
 
     def _terminate(self, aid) -> Patch:
-        """Remove all of an actor's bag contributions and its table slots."""
-        removed = []
+        """Retract every copy the actor holds, through the path every
+        retract takes, then drop its table slots and queued events."""
+        was_present: dict = {}
         for v, per in list(self.bag.items()):
-            if per.pop(aid, 0):
-                self._note_interest(aid, v, 0)  # takes the interest out of the index
-                if not per:
-                    del self.bag[v]
-                    removed.append(v)
+            if aid in per:
+                self._bump(aid, v, -per[aid], was_present)
         del self.actors[aid], self.interests[aid]
         self.queue = deque((a, e) for a, e in self.queue if a != aid)
-        return Patch((), tuple(removed))
+        return Patch((), tuple(v for v in was_present if v not in self.bag))  # each was present
 
     # -- routing ------------------------------------------------------------
 

@@ -92,10 +92,14 @@ def spawn_timer_driver(ds, clock: Clock = None) -> int:
 
 def advance_virtual_time(ds, delta_ms: int, max_turns: int = 100000):
     """Advance virtual time, firing due timers as ordinary turns in deadline
-    order; returns once quiescent at the new time."""
+    order; returns once quiescent at the new time. Raises TypeError for a
+    delta_ms that is not an int, and RuntimeError if a timer is still
+    registered after the tick that was due to fire it (the driver is gone)."""
     clock = ds.clock
     if clock is None or clock.mode != "virtual":
         raise WallClockMode("virtual-time advancement needs a virtual clock")
+    if isinstance(delta_ms, bool) or not isinstance(delta_ms, int):
+        raise TypeError("delta_ms must be an int, got %r" % (delta_ms,))
     if delta_ms < 0:
         raise ValueError("virtual time cannot move backwards (delta %d ms)" % delta_ms)
     if ds.pending():
@@ -108,6 +112,8 @@ def advance_virtual_time(ds, delta_ms: int, max_turns: int = 100000):
         clock._now = max(clock._now, min(due))
         ds.inject_message(rec("clock-tick", clock._now))
         ds.run_until_quiescent(max_turns)
+        if any(deadline <= clock._now for deadline, _tid, _facet in ds.timer_registry):
+            raise RuntimeError("timers due at %d ms outlived their tick: no timer driver" % clock._now)
     clock._now = target
 
 

@@ -217,8 +217,7 @@ class Actor:
     def handle_event(self, event):
         self.actions = []
         if isinstance(event, BootEvent):
-            self.root = Facet(self, (), None)
-            self._install(self.root, self.boot, ())
+            self._start_root(self.boot)
         elif isinstance(event, (PatchEvent, MessageEvent)):
             self._dispatch(event)
         else:
@@ -226,6 +225,15 @@ class Actor:
         return self.actions
 
     # -- install / dispatch / teardown --------------------------------------
+
+    def _start_root(self, body):
+        """Run body in a fresh root facet, at boot or as a root's
+        continuation. The actor lives on in it only if it is left holding
+        an endpoint or a child; otherwise the root stops and the actor quits."""
+        root = self.root = Facet(self, (), None)
+        self._install(root, body, ())
+        if root.alive and not (root.endpoints or root.children):
+            self.stop_facet(root)
 
     def _run_body(self, facet, body, args=()):
         body(facet, *args)
@@ -310,17 +318,7 @@ class Actor:
         elif continuation is None:
             self.actions.append(Quit())
         else:
-            # a root's continuation runs in a fresh root, and the actor lives
-            # on in it if it is left holding an endpoint or a child
-            root = self.root = Facet(self, (), None)
-            self._install(root, continuation, ())
-            if root.alive and not (root.endpoints or root.children):
-                self.stop_facet(root)
-
-    def stop_actor(self):
-        """Orderly shutdown: stop the root facet (stop handlers run)."""
-        if self.root is not None and self.root.alive:
-            self.stop_facet(self.root)
+            self._start_root(continuation)
 
 
 def render_tree(actor: Actor) -> str:

@@ -1,5 +1,6 @@
 """Shared test helpers: externally driven puppet actors, event recorders,
-and an interpretive pattern matcher to check the runtime's against."""
+an interpretive pattern matcher to check the runtime's against, and the
+counting harness of the complexity contracts."""
 
 import os
 
@@ -16,8 +17,9 @@ from facetspace import (
     rpat,
     sym,
 )
-from facetspace.dataspace import Assert, MessageEvent, PatchEvent
+from facetspace.dataspace import Assert, BootEvent, MessageEvent, PatchEvent
 from facetspace.facets import Actor
+from facetspace.values import PatternIndex, observe
 
 # HYPOTHESIS_PROFILE=ci runs every property deeper, with a fixed seed;
 # HYPOTHESIS_PROFILE=deep deeper still, for the few CI runs one by one.
@@ -213,3 +215,76 @@ def spawn_recorder(ds: Dataspace, pattern, messages=False) -> RawRecorder:
     r = RawRecorder(pattern, messages)
     ds.spawn(r)
     return r
+
+
+# ---------------------------------------------------------------------------
+# Counting harness for the complexity contracts (tests/test_contracts.py).
+# Counts are deterministic where timings are not: a contract compares the
+# counts of one scenario beside few and beside many bystanders.
+
+
+class CountingBag(dict):
+    """A bag that counts the entries its iteration yields, by `__iter__` and
+    by `items`; `count_bag_visits` puts one on a dataspace."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.visits = 0
+
+    def __iter__(self):
+        for v in super().__iter__():
+            self.visits += 1
+            yield v
+
+    def items(self):
+        for item in super().items():
+            self.visits += 1
+            yield item
+
+
+class CountingIndex(PatternIndex):
+    """A handler index that counts the candidates its lookups return. Put it
+    on a facet actor's `handlers` before the actor boots."""
+
+    __slots__ = ("visits",)
+
+    def __init__(self):
+        super().__init__()
+        self.visits = 0
+
+    def candidates(self, v):
+        out = super().candidates(v)
+        self.visits += len(out)
+        return out
+
+
+def count_bag_visits(ds: Dataspace) -> CountingBag:
+    """Count, from now on, the entries iteration over ds's bag yields. Set-up
+    runs uncounted: on a plain bag it costs far less."""
+    ds.bag = CountingBag(ds.bag)  # same entries, in the same order
+    return ds.bag
+
+
+def spawn_counted(ds: Dataspace, boot) -> int:
+    """Spawn a facet actor whose dispatch counts the candidates it visits."""
+    aid = ds.spawn(boot)
+    ds.actors[aid].handlers = CountingIndex()
+    return aid
+
+
+class Bystander:
+    """Bare runtime holding one assertion and one interest that nothing else
+    in a contract's scenario matches or asserts."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def handle_event(self, event):
+        if isinstance(event, BootEvent):
+            return [Assert(rec("bystander", self.i)), Assert(observe(rpat("unheard", lit(self.i))))]
+        return []
+
+
+def spawn_bystanders(ds: Dataspace, n: int):
+    for i in range(n):
+        ds.spawn(Bystander(i))

@@ -384,13 +384,27 @@ def test_a_late_observer_is_told_one_text_for_zero_whoever_holds_it():
 
 
 def test_spawned_child_boots_after_patches():
-    child = Scripted()
-    from facetspace.dataspace import Spawn
-
+    # one batch asserts, sends and spawns twice: the observer's patch and the
+    # message go out first, then the children boot in action order, and the
+    # trace's (spawn N) ids follow that order
     ds = Dataspace()
-    ds.spawn(Scripted([Assert(rec("cell", 1)), Spawn(child)]))
-    ds.run_until_quiescent()
-    assert len(child.seen) == 1 and isinstance(child.seen[0], BootEvent)
+    (o, p), _ = spawn_poked(ds, "o", "p")
+    poke(ds, o, Assert(observe(CELL)), Assert(message_interest(lit(rec("ping")))))
+    first, second = Scripted(), Scripted()
+    mark = len(ds.trace)
+    poke(ds, p, Spawn(first), Assert(rec("cell", 1)), Message(rec("ping")), Spawn(second))
+    turn = ds.trace[mark]
+    ids = [a.child for a in turn.actions if isinstance(a, Spawn)]
+    assert ids == [p.aid + 1, p.aid + 2]
+    assert [render_action(a) for a in turn.actions] == [
+        "(spawn %d)" % ids[0], "(assert (cell 1))", "(send (ping))", "(spawn %d)" % ids[1]]
+    assert [(t.actor, render_event(t.event)) for t in ds.trace[mark + 1:]] == [
+        (o.aid, "(patch (added (cell 1)) (removed))"),
+        (o.aid, "(message (ping))"),
+        (ids[0], "(boot)"),
+        (ids[1], "(boot)"),
+    ]
+    assert [type(e) for e in first.seen + second.seen] == [BootEvent, BootEvent]
 
 
 def test_run_until_quiescent_turn_limit():
@@ -783,6 +797,37 @@ def test_quitting_actor_leaves_no_queue_entry():
     ds.run_until_quiescent()
     assert len(quitter.seen) == 1
     assert r.events == [("+", rec("cell", 5)), ("-", rec("cell", 5))]
+
+
+@pytest.mark.parametrize("ending", ["retract", "quit", "crash"])
+def test_ending_an_actor_is_retracting_every_copy_it_holds(ending):
+    # v holds (cell 1) twice, (cell 2), which h also holds, (cell 3) and two
+    # interests; o hears cells and interests. Quitting and crashing must
+    # route o the patch that retracting each held copy, in bag order, routes,
+    # and leave the same bag, interests and index.
+    ds = Dataspace()
+    (o, h, v), _ = spawn_poked(ds, "o", "h", "v")
+    poke(ds, o, Assert(observe(CELL)), Assert(observe(observe(cap("p")))))
+    poke(ds, v, Assert(rec("cell", 3)))
+    poke(ds, h, Assert(rec("cell", 2)))
+    poke(ds, v, Assert(rec("cell", 1)), Assert(observe(OTHER)), Assert(rec("cell", 2)), Assert(rec("cell", 1)))
+    mark = len(ds.trace)
+    if ending == "retract":
+        held = [x for x, per in ds.bag.items() for _ in range(per.get(v.aid, 0))]
+        poke(ds, v, *[Retract(x) for x in held])
+    else:
+        poke(ds, v, Quit() if ending == "quit" else "not an action")
+        assert_forgotten(ds, v.aid)
+    assert [render_event(t.event) for t in ds.trace[mark:] if t.actor == o.aid] == [
+        "(patch (added) (removed (observe (message (poke v))) (cell 3) (cell 1)"
+        " (observe (other (capture \"k\")))))"]
+    assert list(ds.bag.items()) == [
+        (message_interest(lit(rec("poke", sym(x.name)))), {x.aid: 1}) for x in (o, h)
+    ] + [(observe(CELL), {o.aid: 1}), (observe(observe(cap("p"))), {o.aid: 1}), (rec("cell", 2), {h.aid: 1})]
+    assert {a: t for a, t in ds.interests.items() if t} == {
+        x.aid: dict(ds.interests[x.aid]) for x in (o, h)}
+    assert ds.interests.get(v.aid, {}) == {}
+    assert_index_matches_interests(ds)
 
 
 # ---------------------------------------------------------------------------

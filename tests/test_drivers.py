@@ -10,6 +10,7 @@ from facetspace.drivers import (
     fire_due_wall_timers,
     spawn_timer_driver,
 )
+from facetspace.forms import on_timeout
 
 
 def setup_ds():
@@ -150,6 +151,58 @@ def test_advance_refuses_to_move_time_backwards():
     with pytest.raises(ValueError, match="backwards"):
         advance_virtual_time(ds, -50)
     assert ds.clock.now == 100
+
+
+class TickLoop(Exception):
+    """Raised by `limit_ticks`: advance_virtual_time kept injecting ticks."""
+
+
+def limit_ticks(monkeypatch, limit=10):
+    """Make the message injected after `limit` of them raise TickLoop, so a
+    tick loop that never ends fails its test instead of hanging it."""
+    inject = Dataspace.inject_message
+    count = [0]
+
+    def limited(ds, v):
+        count[0] += 1
+        if count[0] > limit:
+            raise TickLoop("more than %d messages injected" % limit)
+        return inject(ds, v)
+
+    monkeypatch.setattr(Dataspace, "inject_message", limited)
+
+
+def test_advance_raises_when_a_due_timer_outlives_its_tick(monkeypatch):
+    # a hole-labelled timer id makes the driver's `during` refuse it in
+    # instantiate: the driver crashes, its stop handlers never run, and the
+    # timer it had registered stays in the registry with nobody to fire it
+    ds = setup_ds()
+    fired = []
+    ds.spawn(lambda f: on_timeout(f, 100, lambda hf: fired.append(1)))
+    ds.run_until_quiescent()
+    ds.inject_message(drive_cmd("a", "do-assert", rec("set-timer", cap("x"), 5)))
+    ds.run_until_quiescent()
+    assert not ds.is_alive(0) and len(ds.timer_registry) == 1
+    limit_ticks(monkeypatch)
+    with pytest.raises(RuntimeError, match="timers due at 100 ms outlived their tick"):
+        advance_virtual_time(ds, 200)
+    assert fired == []
+
+
+@pytest.mark.parametrize("delta", [0.5, True])
+def test_advance_refuses_a_delta_that_is_not_an_int(monkeypatch, delta):
+    # 0.5 would put float deadlines in the registry, and the tick's Decimal
+    # would crash the driver; a bool is an int only to isinstance
+    ds = setup_ds()
+    fired = []
+    ds.spawn(lambda f: on_timeout(f, 100, lambda hf: fired.append(1)))
+    ds.run_until_quiescent()
+    limit_ticks(monkeypatch)
+    with pytest.raises(TypeError, match="delta_ms must be an int"):
+        advance_virtual_time(ds, delta)
+    assert ds.clock.now == 0
+    advance_virtual_time(ds, 200)
+    assert fired == [1]
 
 
 def test_single_driver_per_dataspace():

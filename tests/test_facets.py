@@ -14,7 +14,7 @@ from conftest import (
     spawn_recorder,
 )
 from facetspace import Dataspace, Integer, Record, Symbol, cap, lit, rec, rpat, sym
-from facetspace.dataspace import Assert, MessageEvent, PatchEvent
+from facetspace.dataspace import Assert, MessageEvent, PatchEvent, Quit
 from facetspace.drivers import advance_virtual_time, spawn_timer_driver
 from facetspace.forms import during, on_timeout, state_machine
 from facetspace.values import compile_test, instantiate, observe, to_value
@@ -43,7 +43,7 @@ def test_stop_actor_from_handler_runs_stop_handlers():
     def boot(f):
         f.publish(rec("flag"))
         f.on_stop(lambda sf: order.append("stopped"))
-        f.on_message(rpat("shutdown"), lambda hf, b: hf.actor.stop_actor())
+        f.on_message(rpat("shutdown"), lambda hf, b: hf.actor.stop_facet(hf.actor.root))
 
     aid = ds.spawn(boot)
     quiesce(ds)
@@ -466,6 +466,31 @@ def test_root_stop_continuation_that_only_sends_quits():
     ds, aid, line = _die_turn(lambda pf: pf.send(rec("gone")))
     assert line["actions"] == ["(send (bye))", "(retract (observe (message (die))))", "(send (gone))", "(quit)"]
     assert not ds.is_alive(aid)
+
+
+@pytest.mark.parametrize("body", ["send", "on_stop", "publish"])
+def test_a_boot_that_leaves_its_root_inert_quits_in_its_boot_turn(body):
+    # a boot starts its root as a root's continuation does: the actor lives
+    # on only if the root is left holding an endpoint or a child
+    lives = body == "publish"
+    ds = Dataspace()
+    r = spawn_recorder(ds, rpat("hello"), messages=True)
+    quiesce(ds)
+    stopped = []
+    boots = {
+        "send": lambda f: f.send(rec("hello")),
+        "on_stop": lambda f: f.on_stop(lambda sf: stopped.append(sf.id)),
+        "publish": lambda f: (f.publish(rec("hello")), f.on_stop(lambda sf: stopped.append(sf.id))),
+    }
+    aid = ds.spawn(boots[body])
+    quiesce(ds)
+    turns = [t for t in ds.trace if t.actor == aid]
+    assert len(turns) == 1 and not turns[0].crashed
+    assert ds.is_alive(aid) is lives
+    assert (turns[0].actions[-1] == Quit()) is not lives
+    assert stopped == ([()] if body == "on_stop" else [])
+    heard = {"send": [("!", rec("hello"))], "on_stop": [], "publish": [("+", rec("hello"))]}
+    assert r.events == heard[body]
 
 
 def test_send_and_spawn_from_facet():
