@@ -73,14 +73,9 @@ class Quit:
 
 
 @dataclass(frozen=True, slots=True)
-class Patch:
+class PatchEvent:
     added: tuple
     removed: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class PatchEvent:
-    patch: Patch
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,8 +94,8 @@ def render_event(ev) -> str:
     if isinstance(ev, MessageEvent):
         return "(message %s)" % render(ev.v)
     if isinstance(ev, PatchEvent):
-        added = " ".join(render(v) for v in ev.patch.added)
-        removed = " ".join(render(v) for v in ev.patch.removed)
+        added = " ".join(render(v) for v in ev.added)
+        removed = " ".join(render(v) for v in ev.removed)
         return "(patch (added%s) (removed%s))" % (
             " " + added if added else "",
             " " + removed if removed else "",
@@ -249,7 +244,7 @@ class Dataspace:
             self.trace_sink.write(record.to_json() + "\n")
         return record
 
-    def run_until_quiescent(self, max_turns: int = 10000) -> list:
+    def run_until_quiescent(self, max_turns: int = 100000) -> list:
         start = len(self.trace)
         while self.pending():
             if len(self.trace) - start >= max_turns:
@@ -311,7 +306,7 @@ class Dataspace:
                 quit_requested = True
         added = tuple(v for v, was in was_present.items() if not was and v in self.bag)
         removed = tuple(v for v, was in was_present.items() if was and v not in self.bag)
-        return Patch(added, removed), messages, spawns, quit_requested
+        return PatchEvent(added, removed), messages, spawns, quit_requested
 
     def _message_deliveries(self, v):
         return [(aid, MessageEvent(v)) for aid in sorted(self._interested(Record(MESSAGE, (v,))))]
@@ -325,20 +320,17 @@ class Dataspace:
                 out.add(aid)
         return out
 
-    def _terminate(self, aid) -> Patch:
-        """Retract every copy the actor holds, through the path every
-        retract takes, then drop its table slots and queued events."""
-        was_present: dict = {}
-        for v, per in list(self.bag.items()):
-            if aid in per:
-                self._bump(aid, v, -per[aid], was_present)
+    def _terminate(self, aid) -> PatchEvent:
+        """Retract each copy the actor holds, in bag order, then forget it."""
+        held = [Retract(v) for v, per in self.bag.items() for _ in range(per.get(aid, 0))]
+        patch = self._apply(aid, held)[0]
         del self.actors[aid], self.interests[aid]
         self.queue = deque((a, e) for a, e in self.queue if a != aid)
-        return Patch((), tuple(v for v in was_present if v not in self.bag))  # each was present
+        return patch
 
     # -- routing ------------------------------------------------------------
 
-    def _patch_deliveries(self, patch: Patch, actor=None, before=()) -> list:
+    def _patch_deliveries(self, patch: PatchEvent, actor=None, before=()) -> list:
         """Per-actor filtered patch events for one turn's global patch.
 
         What each actor was told is what its patterns match in the bag, so
@@ -374,9 +366,9 @@ class Dataspace:
                 and not any(t(v) for t in old)
             )
             if init_added:
-                out.append((aid, PatchEvent(Patch(init_added, ()))))
+                out.append((aid, PatchEvent(init_added, ())))
             if aid in told:
-                out.append((aid, PatchEvent(Patch(*map(tuple, told[aid])))))
+                out.append((aid, PatchEvent(*map(tuple, told[aid]))))
         return out
 
 

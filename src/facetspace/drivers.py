@@ -68,6 +68,9 @@ def timer_driver_boot(clock: Clock, registry: list):
         during(f, _REQUEST, request_body)
 
         def on_tick(hf, b):
+            if not isinstance(b["now"], Integer):
+                log.warning("clock tick ignored: bad time %r", b["now"])
+                return
             now = b["now"].n
             # the registry is in the order timers were set, and sorted() is stable
             due = sorted((e for e in registry if e[0] <= now), key=lambda e: e[0])
@@ -90,7 +93,7 @@ def spawn_timer_driver(ds, clock: Clock = None) -> int:
     return ds.spawn(timer_driver_boot(clock, registry))
 
 
-def advance_virtual_time(ds, delta_ms: int, max_turns: int = 100000):
+def advance_virtual_time(ds, delta_ms: int):
     """Advance virtual time, firing due timers as ordinary turns in deadline
     order; returns once quiescent at the new time. Raises TypeError for a
     delta_ms that is not an int, and RuntimeError if a timer is still
@@ -111,15 +114,15 @@ def advance_virtual_time(ds, delta_ms: int, max_turns: int = 100000):
             break
         clock._now = max(clock._now, min(due))
         ds.inject_message(rec("clock-tick", clock._now))
-        ds.run_until_quiescent(max_turns)
+        ds.run_until_quiescent()
         if any(deadline <= clock._now for deadline, _tid, _facet in ds.timer_registry):
             raise RuntimeError("timers due at %d ms outlived their tick: no timer driver" % clock._now)
     clock._now = target
 
 
-def fire_due_wall_timers(ds, max_turns: int = 100000):
+def fire_due_wall_timers(ds):
     """Wall-mode pump: fire timers due at the current wall time."""
     if ds.clock is None or ds.clock.mode != "wall":
         raise WallClockMode("not in wall mode")
     ds.inject_message(rec("clock-tick", ds.clock.now))
-    ds.run_until_quiescent(max_turns)
+    ds.run_until_quiescent()

@@ -48,7 +48,10 @@ def during_form_boot(f):
 
 def during_expanded_boot(f):
     def on_appear(hf, b):
-        matched = instantiate(ITEM, b)
+        try:
+            matched = instantiate(ITEM, b)
+        except ValueError:  # a value holding a hole record starts no child
+            return
 
         def child_body(cf):
             cf.on_retracted(matched, lambda cf2, _b: cf2.stop(cf))

@@ -253,7 +253,7 @@ class Actor:
         the facet tree: facet pre-order, then endpoint order, then value
         order. Only the index's candidates of that kind are matched."""
         if isinstance(event, PatchEvent):
-            sides = (("asserted", event.patch.added), ("retracted", event.patch.removed))
+            sides = (("asserted", event.added), ("retracted", event.removed))
         else:
             sides = (("message", (event.v,)),)
         invocations = []

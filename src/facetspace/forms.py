@@ -27,10 +27,16 @@ class ArityMismatch(TypeError):
 
 def during(f: Facet, pattern: Pattern, body: Callable):
     """Run ``body(child, bindings)`` in a child facet for as long as a
-    matching assertion is present; one child per distinct matched value."""
+    matching assertion is present; one child per distinct matched value.
+    A value holding a hole record cannot be watched for its retraction, so
+    it starts no child."""
 
     def on_appear(hf, bindings):
-        matched = instantiate(pattern, bindings)
+        try:
+            matched = instantiate(pattern, bindings)
+        except ValueError as e:
+            log.warning("during: no child for a match of %s: %s", render(pattern), e)
+            return
 
         def child_body(cf):
             cf.on_retracted(matched, lambda cf2, _b: cf2.stop(cf))

@@ -606,12 +606,12 @@ def build_scenario(config: ScenarioConfig, trace_sink=None) -> ScenarioResult:
     return ScenarioResult(ds, bank, buyers)
 
 
-def run_scenario(config: ScenarioConfig, script: list, trace_sink=None, max_turns=100000) -> ScenarioResult:
+def run_scenario(config: ScenarioConfig, script: list, trace_sink=None) -> ScenarioResult:
     """Run a scenario script to completion; raises ScenarioError on a failed
     script assertion, reporting the turn number."""
     result = build_scenario(config, trace_sink)
     ds, bank, buyers = result.ds, result.bank, result.buyers
-    ds.run_until_quiescent(max_turns)
+    ds.run_until_quiescent()
 
     def fail(msg):
         raise ScenarioError("turn %d: %s" % (len(ds.trace), msg))
@@ -619,15 +619,15 @@ def run_scenario(config: ScenarioConfig, script: list, trace_sink=None, max_turn
     for step in script:
         kind = step[0]
         if kind == "advance":
-            ds.run_until_quiescent(max_turns)
-            advance_virtual_time(ds, step[1], max_turns)
+            ds.run_until_quiescent()
+            advance_virtual_time(ds, step[1])
         elif kind in ("place", "cancel"):
             _, buyer, ref, *order = step  # place also carries n and maxp
             if buyer not in buyers:
                 fail("unknown buyer %s" % buyer)
             ds.inject_message(rec(kind + "-order", sym(buyer), sym(ref), *order))
         elif kind == "expect-quiescent":
-            ds.run_until_quiescent(max_turns)
+            ds.run_until_quiescent()
         elif kind == "assert-balance":
             _, acct, want = step
             got = bank.balances.get(acct)

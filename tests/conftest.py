@@ -194,9 +194,9 @@ class RawRecorder:
     def handle_event(self, event):
         if isinstance(event, PatchEvent):
             self.patches.append(event)
-            for v in event.patch.added:
+            for v in event.added:
                 self.events.append(("+", v))
-            for v in event.patch.removed:
+            for v in event.removed:
                 self.events.append(("-", v))
             return []
         if isinstance(event, MessageEvent):

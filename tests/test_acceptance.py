@@ -118,9 +118,9 @@ def test_criterion_2_late_observer():
         if matching:
             ok = (
                 len(r.patches) == 1
-                and set(r.patches[0].patch.added) == matching
-                and len(r.patches[0].patch.added) == len(matching)
-                and r.patches[0].patch.removed == ()
+                and set(r.patches[0].added) == matching
+                and len(r.patches[0].added) == len(matching)
+                and r.patches[0].removed == ()
             )
         else:
             ok = r.patches == []

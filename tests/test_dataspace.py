@@ -20,7 +20,6 @@ from facetspace.dataspace import (
     MaxTurnsExceeded,
     Message,
     MessageEvent,
-    Patch,
     PatchEvent,
     Quit,
     Retract,
@@ -98,8 +97,8 @@ def test_late_observer_gets_initial_patch_once():
     r = spawn_recorder(ds, CELL)
     ds.run_until_quiescent()
     assert len(r.patches) == 1
-    assert set(r.patches[0].patch.added) == {rec("cell", k) for k in range(3)}
-    assert r.patches[0].patch.removed == ()
+    assert set(r.patches[0].added) == {rec("cell", k) for k in range(3)}
+    assert r.patches[0].removed == ()
 
 
 def test_initial_patch_precedes_regular_patch():
@@ -366,7 +365,7 @@ def test_initial_patch_lists_values_in_the_order_they_last_became_present():
     r = spawn_recorder(ds, CELL)
     ds.run_until_quiescent()
     order = [rec("cell", 1), rec("cell", 2), rec("cell", 0)]
-    assert [p.patch.added for p in r.patches] == [tuple(order)]
+    assert [p.added for p in r.patches] == [tuple(order)]
     assert ds.query(CELL) == order
 
 
@@ -495,7 +494,7 @@ def test_a_record_labelled_capture_or_wildcard_is_routed_once():
     ds.spawn(Scripted([Assert(v) for v in vs] + [Message(v) for v in vs]))
     ds.run_until_quiescent()
     assert [e for e in r.events if e[1] in vs] == [("+", v) for v in vs] + [("!", v) for v in vs]
-    assert r.patches[-1].patch.added == tuple(vs)
+    assert r.patches[-1].added == tuple(vs)
 
 
 def test_query_in_insertion_order():
@@ -543,7 +542,7 @@ _traced = _atom | st.builds(lambda label, fs: Record(label, tuple(fs)), _strings
 _event = st.one_of(
     st.just(BootEvent()),
     _traced.map(MessageEvent),
-    st.builds(lambda a, r: PatchEvent(Patch(tuple(a), tuple(r))), st.lists(_traced, max_size=3), st.lists(_traced, max_size=3)),
+    st.builds(lambda a, r: PatchEvent(tuple(a), tuple(r)), st.lists(_traced, max_size=3), st.lists(_traced, max_size=3)),
 )
 _action = st.one_of(
     _traced.map(Assert),
@@ -575,7 +574,7 @@ def test_trace_sink_receives_lines(tmp_path):
 def test_render_event_and_action_forms():
     assert render_event(BootEvent()) == "(boot)"
     assert render_event(MessageEvent(rec("m", 1))) == "(message (m 1))"
-    ev = PatchEvent(Patch((rec("a", 1),), (rec("b", 2),)))
+    ev = PatchEvent((rec("a", 1),), (rec("b", 2),))
     assert render_event(ev) == "(patch (added (a 1)) (removed (b 2)))"
     assert render_action(Quit()) == "(quit)"
     assert render_action(Message(rec("m", 1))) == "(send (m 1))"
@@ -607,9 +606,9 @@ class Poked:
         if isinstance(event, MessageEvent):
             # any other message is one it observes: hearing it acts on nothing
             return self.batches.pop(0) if self._poked(event) else []
-        for v in event.patch.added:
+        for v in event.added:
             self.events.append(("+", v))
-        for v in event.patch.removed:
+        for v in event.removed:
             self.events.append(("-", v))
         return []
 
@@ -830,6 +829,23 @@ def test_ending_an_actor_is_retracting_every_copy_it_holds(ending):
     assert_index_matches_interests(ds)
 
 
+def test_an_ending_actor_retracts_in_bag_order_not_in_the_order_it_asserted():
+    # h asserts (cell 1) first, so it leads the bag; a asserts (cell 2), then
+    # (cell 1); h's retraction leaves a as (cell 1)'s only holder, in place.
+    # The removal patch follows the bag, not a's first-copy order
+    ds = Dataspace()
+    (o, h, a), _ = spawn_poked(ds, "o", "h", "a")
+    poke(ds, o, Assert(observe(CELL)))
+    poke(ds, h, Assert(rec("cell", 1)))
+    poke(ds, a, Assert(rec("cell", 2)))
+    poke(ds, a, Assert(rec("cell", 1)))
+    poke(ds, h, Retract(rec("cell", 1)))
+    mark = len(ds.trace)
+    poke(ds, a, Quit())
+    assert [render_event(t.event) for t in ds.trace[mark:] if t.actor == o.aid] == [
+        "(patch (added) (removed (cell 1) (cell 2)))"]
+
+
 # ---------------------------------------------------------------------------
 # routing property: routing from the bag and the patterns against a per-turn
 # re-filter of a per-actor visible set
@@ -886,10 +902,10 @@ class RefilterEveryTurn(Dataspace):
                 and any(reference_match(p, v) is not None for p in fresh.get(aid, []))
             )
             if init_added:
-                out.append((aid, PatchEvent(Patch(init_added, ()))))
+                out.append((aid, PatchEvent(init_added, ())))
                 vis |= set(init_added)
             if f_added or f_removed:
-                out.append((aid, PatchEvent(Patch(f_added, f_removed))))
+                out.append((aid, PatchEvent(f_added, f_removed)))
                 vis = (vis - set(f_removed)) | set(f_added)
             self.visible[aid] = vis
         return out

@@ -9,6 +9,7 @@ from facetspace.drivers import (
     advance_virtual_time,
     fire_due_wall_timers,
     spawn_timer_driver,
+    timer_driver_boot,
 )
 from facetspace.forms import on_timeout
 
@@ -173,20 +174,48 @@ def limit_ticks(monkeypatch, limit=10):
 
 
 def test_advance_raises_when_a_due_timer_outlives_its_tick(monkeypatch):
-    # a hole-labelled timer id makes the driver's `during` refuse it in
-    # instantiate: the driver crashes, its stop handlers never run, and the
-    # timer it had registered stays in the registry with nobody to fire it
+    # a driver whose first tick handler raises crashes at the tick: its stop
+    # handlers never run, and the timer it had registered stays in the
+    # registry with nobody to fire it
+    ds = Dataspace()
+    ds.clock, ds.timer_registry = Clock("virtual"), []
+    driver = timer_driver_boot(ds.clock, ds.timer_registry)
+
+    def failing_driver(f):
+        f.on_message(rpat("clock-tick", cap("now")), lambda hf, b: 1 / 0)
+        driver(f)
+
+    ds.spawn(failing_driver)
+    fired = []
+    ds.spawn(lambda f: on_timeout(f, 100, lambda hf: fired.append(1)))
+    ds.run_until_quiescent()
+    assert len(ds.timer_registry) == 1
+    limit_ticks(monkeypatch)
+    with pytest.raises(RuntimeError, match="timers due at 100 ms outlived their tick"):
+        advance_virtual_time(ds, 200)
+    assert not ds.is_alive(0) and ds.trace[-1].crashed and fired == []
+
+
+@pytest.mark.parametrize(
+    "hostile, warning",
+    [
+        (drive_cmd("a", "do-assert", rec("set-timer", cap("x"), 5)), "during: no child for a match"),
+        (rec("clock-tick", "x"), "clock tick ignored: bad time"),
+    ],
+    ids=["hole-in-timer-id", "tick-time-not-an-integer"],
+)
+def test_the_timer_driver_survives_hostile_input_and_still_fires(monkeypatch, caplog, hostile, warning):
     ds = setup_ds()
     fired = []
     ds.spawn(lambda f: on_timeout(f, 100, lambda hf: fired.append(1)))
     ds.run_until_quiescent()
-    ds.inject_message(drive_cmd("a", "do-assert", rec("set-timer", cap("x"), 5)))
+    ds.inject_message(hostile)
     ds.run_until_quiescent()
-    assert not ds.is_alive(0) and len(ds.timer_registry) == 1
+    assert ds.is_alive(0) and not any(t.crashed for t in ds.trace)
+    assert warning in caplog.text
     limit_ticks(monkeypatch)
-    with pytest.raises(RuntimeError, match="timers due at 100 ms outlived their tick"):
-        advance_virtual_time(ds, 200)
-    assert fired == []
+    advance_virtual_time(ds, 200)
+    assert fired == [1] and ds.timer_registry == []
 
 
 @pytest.mark.parametrize("delta", [0.5, True])

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import drive_cmd, named_puppet_boot, spawn_recorder
-from facetspace import Dataspace, cap, forms, lit, rec, rpat, sym
+from facetspace import Dataspace, cap, expansions, forms, lit, rec, rpat, sym
 from facetspace.drivers import Clock, advance_virtual_time, spawn_timer_driver
 from facetspace.forms import (
     ArityMismatch,
@@ -54,6 +54,16 @@ def test_during_reappearing_value_restarts_body():
         ds.inject_message(drive(cmd, rec("item", 7)))
         quiesce(ds)
     assert runs == [7, 7]
+
+
+def test_during_and_its_expansion_agree_on_a_value_holding_a_hole():
+    # neither starts a child for (item (capture "y")), and both go on to
+    # start one for (item 1); the expand-check schedules hold no such value
+    schedule = [expansions.drive("do-assert", rec("item", rec("capture", "y"))),
+                expansions.drive("do-assert", rec("item", 1))]
+    form = expansions.run_schedule(expansions.during_form_boot, schedule, True)
+    assert form == expansions.run_schedule(expansions.during_expanded_boot, schedule, True)
+    assert '"(assert (seen 1))"' in form and '"crashed":true' not in form
 
 
 def test_stop_when_kinds():
@@ -129,7 +139,7 @@ def test_state_machine_transitions_with_args():
     assert ("-", rec("state", sym("one"), 0)) in r.events
     ds.inject_message(rec("back"))
     quiesce(ds)
-    last = r.patches[-1].patch
+    last = r.patches[-1]
     assert last.added == (rec("state", sym("one"), 0),)
     assert last.removed == (rec("state", sym("two"), 5),)
 
