@@ -176,19 +176,14 @@ class Dataspace:
         return u
 
     def spawn(self, boot) -> int:
+        from .facets import Actor  # facets imports this module
+
         aid = self._next_actor
         self._next_actor += 1
-        self.actors[aid] = self._make_runtime(aid, boot)
+        self.actors[aid] = boot if hasattr(boot, "handle_event") else Actor(self, aid, boot)
         self.interests[aid] = {}
         self.queue.append((aid, BootEvent()))
         return aid
-
-    def _make_runtime(self, aid, boot):
-        if hasattr(boot, "handle_event"):
-            return boot
-        from .facets import Actor
-
-        return Actor(self, aid, boot)
 
     # -- introspection ------------------------------------------------------
 

@@ -1,8 +1,10 @@
 """Shared test helpers: externally driven puppet actors, event recorders,
-an interpretive pattern matcher to check the runtime's against, and the
-counting harness of the complexity contracts."""
+an interpretive pattern matcher to check the runtime's against, a switch
+that keeps the reference model off the runtime, and the counting harness of
+the complexity contracts."""
 
 import os
+from contextlib import contextmanager
 
 from hypothesis import settings
 
@@ -149,6 +151,26 @@ def assert_endpoint_indexes_match_trees(ds):
                     found.append(ep)
             todo.extend(f.children)
         assert actor.handlers == reference_index((ep, ep.pattern) for ep in found)
+
+
+@contextmanager
+def runtime_switched_off():
+    """Within the block, the runtime's turn engine, its patch routing and
+    facet dispatch raise, so a reference-model run that fell back on the
+    runtime it is compared with fails rather than agrees with it."""
+    seams = [(Dataspace, "run_turn"), (Dataspace, "_patch_deliveries"), (Actor, "_dispatch")]
+    saved = [vars(cls)[name] for cls, name in seams]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the reference model ran the runtime")
+
+    for cls, name in seams:
+        setattr(cls, name, refuse)
+    try:
+        yield
+    finally:
+        for (cls, name), method in zip(seams, saved):
+            setattr(cls, name, method)
 
 
 def named_puppet_boot(name: str):

@@ -11,17 +11,18 @@ from conftest import (
     drive_cmd,
     named_puppet_boot,
     reference_match,
+    runtime_switched_off,
     spawn_recorder,
 )
 from facetspace import Dataspace, Integer, Record, Symbol, cap, lit, rec, rpat, sym
-from facetspace.dataspace import Assert, MessageEvent, PatchEvent, Quit
+from facetspace.dataspace import Assert, Quit
 from facetspace.drivers import advance_virtual_time, spawn_timer_driver
 from facetspace.forms import during, on_timeout, state_machine
 from facetspace.values import compile_test, instantiate, observe, to_value
-from facetspace.facets import Actor, DeadFieldAccess, HandlerEndpoint, render_tree
+from facetspace.facets import DeadFieldAccess, render_tree
 from facetspace.market import bank_account_boot
 from golden_corpus import republish_boot
-from test_dataspace import RefilterEveryTurn
+from reference_model import ModelDataspace
 
 
 def quiesce(ds):
@@ -552,52 +553,8 @@ def test_bank_account_example():
 
 
 # ---------------------------------------------------------------------------
-# facet dispatch against a reference that tests every endpoint with the
-# interpretive reference_match
-
-class MatchEveryEndpoint(Actor):
-    """Reference dispatch: walk every endpoint of the tree and call
-    `reference_match` on every value of the event; no compiled test decides
-    a hit."""
-
-    def _dispatch(self, event):
-        invocations = []
-
-        def walk(f):
-            for ep in f.endpoints:
-                if not isinstance(ep, HandlerEndpoint):
-                    continue
-                if isinstance(event, PatchEvent):
-                    if ep.kind == "asserted":
-                        hay = event.added
-                    elif ep.kind == "retracted":
-                        hay = event.removed
-                    else:
-                        continue
-                    for v in hay:
-                        b = reference_match(ep.pattern, v)
-                        if b is not None:
-                            invocations.append((ep, b))
-                elif isinstance(event, MessageEvent) and ep.kind == "message":
-                    b = reference_match(ep.pattern, event.v)
-                    if b is not None:
-                        invocations.append((ep, b))
-            for c in f.children:
-                walk(c)
-
-        walk(self.root)
-        for ep, bindings in invocations:
-            if not ep.facet.alive:
-                continue
-            self._run_body(ep.facet, ep.fn, (bindings,))
-
-
-class ReferenceDispatch(Dataspace):
-    def _make_runtime(self, aid, boot):
-        if hasattr(boot, "handle_event"):
-            return boot
-        return MatchEveryEndpoint(self, aid, boot)
-
+# random facet programs: the runtime against the reference model, and the
+# endpoint-level hearing oracles
 
 # A facet program is a list of ops; ops that take a body nest another list.
 # Every message handler but the catch-all listens for (hit k s), so one
@@ -640,12 +597,24 @@ def _hit(k):
     return rpat("hit", lit(k), cap("s"))
 
 
-def _state(body):
-    return lambda sf: _run(sf, body)
+def _state(body, ears):
+    return lambda sf: _run(sf, body, ears)
 
 
-def _run(f, body):
-    """Install a program's ops in facet f."""
+def _watch(install, item, word, k, ears):
+    """Install a handler of item that sends (word k captures…) and counts,
+    in ears under the endpoint that install returns, each value it hears."""
+
+    def heard(hf, b):
+        ears[ep][instantiate(item, b)] += 1
+        hf.send(rec(word, k, *b.values()))
+
+    ep = install(item, heard)
+    ears[ep] = Counter()
+
+
+def _run(f, body, ears):
+    """Install a program's ops in facet f; the watches count their hearings in ears."""
     for op in body:
         kind = op[0]
         if kind == "publish":
@@ -654,47 +623,48 @@ def _run(f, body):
             f.on_message(_hit(k), lambda hf, _b, x=x: x(x() + 1))
         elif kind in _WATCHES:
             k, item = op[1], _WATCHES[kind](op[1])
-            f.on_asserted(item, lambda hf, b, k=k: hf.send(rec("saw", k, *b.values())))
-            f.on_retracted(item, lambda hf, b, k=k: hf.send(rec("lost", k, *b.values())))
+            _watch(f.on_asserted, item, "saw", k, ears)
+            _watch(f.on_retracted, item, "lost", k, ears)
         elif kind == "any":
             x, k = f.field(0), op[1]
             f.publish(lambda k=k, x=x: rec("heard", k, x()))
             f.on_message(cap("any"), lambda hf, _b, x=x: x(x() + 1))
         elif kind == "react":
-            f.react(_run, op[1])
+            f.react(_run, op[1], ears)
         elif kind == "stop":
             # the continuation installs its body in the parent
-            f.on_message(_hit(op[1]), lambda hf, _b, sub=op[2]: hf.stop(hf, lambda pf: _run(pf, sub)))
+            f.on_message(_hit(op[1]), lambda hf, _b, sub=op[2]: hf.stop(hf, lambda pf: _run(pf, sub, ears)))
         elif kind == "during":
             k, sub = op[1], op[2]
             during(f, rpat("item", lit(k), cap("x")), lambda cf, b, k=k, sub=sub: (
-                cf.publish(rec("in", k, b["x"])), _run(cf, sub)))
+                cf.publish(rec("in", k, b["x"])), _run(cf, sub, ears)))
         elif kind == "timeout":
-            on_timeout(f, 10 * (op[1] + 1), lambda hf, sub=op[2]: _run(hf, sub))
+            on_timeout(f, 10 * (op[1] + 1), lambda hf, sub=op[2]: _run(hf, sub, ears))
         else:
             n = len(op[2])
-            goto = state_machine(f, "m", [("s%d" % i, _state(sub)) for i, sub in enumerate(op[2])])
+            goto = state_machine(f, "m", [("s%d" % i, _state(sub, ears)) for i, sub in enumerate(op[2])])
             f.on_message(_hit(op[1]), lambda hf, b, goto=goto, n=n: goto("s%d" % (b["s"].n % n)))
 
 
-def _play_program(ds_class, program, inputs, after_turn=lambda ds: None):
+def _play_program(ds_class, program, inputs, after_turn=lambda ds, ears: None):
     """Run a program beside a puppet and a timer driver, calling
-    after_turn(ds) after every turn; a list input is one batch of puppet
-    assertions and retractions of items, an int advances virtual time by
-    that many ms once the turns before it have run, and a tuple of inputs
-    is injected together before the next turn. Returns the JSONL trace."""
+    after_turn(ds, ears) after every turn, where ears maps each watch
+    endpoint to a Counter of the values its handler heard; a list input is
+    one batch of puppet assertions and retractions of items, an int
+    advances virtual time by that many ms once the turns before it have
+    run, and a tuple of inputs is injected together before the next turn.
+    Returns the JSONL trace."""
     sink = io.StringIO()
     ds = ds_class(trace_sink=sink)
+    ears = {}
     ds.spawn(named_puppet_boot("p"))
-    aid = ds.spawn(lambda f: _run(f, program))
+    ds.spawn(lambda f: _run(f, program, ears))
     spawn_timer_driver(ds)
-    # the reference run must not fall back to the runtime it checks
-    assert (type(ds.actors[aid]) is MatchEveryEndpoint) == (ds_class is ReferenceDispatch)
     run_turn = ds.run_turn
 
     def checked_turn():  # advance_virtual_time runs its turns through this too
         record = run_turn()
-        after_turn(ds)
+        after_turn(ds, ears)
         return record
 
     ds.run_turn = checked_turn
@@ -719,7 +689,12 @@ def _play_program(ds_class, program, inputs, after_turn=lambda ds: None):
           ("react", [("watch", 0), ("publish", 0)])],
          [[("do-assert", rec("item", 0, 0)), ("do-assert", rec("item", 1, 0))], rec("hit", 0, 1)])
 def test_dispatch_matches_a_match_on_every_endpoint(program, inputs):
-    assert _play_program(Dataspace, program, inputs) == _play_program(ReferenceDispatch, program, inputs)
+    """The model finds handlers by matching every endpoint of the tree and
+    re-evaluates every assertion after every body; the runtime must write
+    the same trace."""
+    runtime = _play_program(Dataspace, program, inputs)
+    with runtime_switched_off():
+        assert runtime == _play_program(ModelDataspace, program, inputs)
 
 
 def _live_endpoints(actor):
@@ -730,7 +705,7 @@ def _live_endpoints(actor):
         todo.extend(f.children)
 
 
-def _check_dataflow(ds):
+def _check_dataflow(ds, _ears):
     """Every live assertion endpoint holds what its computation gives now,
     each actor holds in the bag exactly what its live endpoints hold, the
     dataspace's interest index holds exactly the interests, and each actor's
@@ -752,63 +727,30 @@ def test_assertion_endpoints_follow_their_fields_after_every_turn(program, input
     _play_program(Dataspace, program, inputs, after_turn=_check_dataflow)
 
 
-# ---------------------------------------------------------------------------
-# an endpoint-level oracle: what each on_asserted endpoint has heard
-
-class HearingActor(Actor):
-    """The facet runtime, recording for each on_asserted endpoint how many
-    times its handler ran for each value, and the same for each on_retracted
-    endpoint. The programs' asserted and retracted patterns hold no
-    wildcard, so a handler's bindings give back the value."""
-
-    def __init__(self, ds, aid, boot):
-        super().__init__(ds, aid, boot)
-        self.heard = {}  # on_asserted HandlerEndpoint -> Counter of values
-        self.lost = {}  # on_retracted HandlerEndpoint -> Counter of values
-
-    def _run_body(self, facet, body, args=()):
-        if args:  # a handler, run as body(facet, bindings)
-            for ep in facet.endpoints:
-                if ep.kind in ("asserted", "retracted") and ep.fn is body:
-                    counts = self.heard if ep.kind == "asserted" else self.lost
-                    counts.setdefault(ep, Counter())[instantiate(ep.pattern, args[0])] += 1
-        super()._run_body(facet, body, args)
-
-
-class HearingDataspace(Dataspace):
-    def _make_runtime(self, aid, boot):
-        if hasattr(boot, "handle_event"):
-            return boot
-        return HearingActor(self, aid, boot)
-
-
 def _hears_each_present_match_once():
-    """An after_turn hook. When a value becomes present, every endpoint's
-    count of it restarts. At quiescence, every live on_asserted endpoint
-    must have heard, once, each present value its pattern matches; the
-    present values come from the bag and reference_match, not from the
-    routing or dispatch under test."""
+    """An after_turn hook. When a value becomes present, every watch's
+    count of it restarts. At quiescence, every live on_asserted watch must
+    have heard, once, each present value its pattern matches; the present
+    values come from the bag and reference_match, not from the routing or
+    dispatch under test."""
     present = set()
 
-    def after_turn(ds):
+    def after_turn(ds, ears):
         nonlocal present
         now = set(ds.bag)
         appeared = now - present
         present = now
-        for actor in ds.actors.values():
-            for counts in actor.heard.values():
-                for v in appeared:
-                    counts.pop(v, None)
+        for counts in ears.values():
+            for v in appeared:
+                counts.pop(v, None)
         if ds.pending():
             return
-        for aid, actor in ds.actors.items():
-            for ep in _live_endpoints(actor):
-                if ep.kind != "asserted":
-                    continue
-                heard = actor.heard.get(ep, Counter())
-                for v in ds.bag:
-                    if reference_match(ep.pattern, v) is not None:
-                        assert heard[v] == 1, (aid, ep.facet.id, ep.pattern, v, heard[v])
+        for ep, heard in ears.items():
+            if ep.kind != "asserted" or not (ds.is_alive(ep.facet.actor.aid) and ep.facet.alive):
+                continue
+            for v in ds.bag:
+                if reference_match(ep.pattern, v) is not None:
+                    assert heard[v] == 1, (ep.facet.actor.aid, ep.facet.id, ep.pattern, v, heard[v])
 
     return after_turn
 
@@ -831,25 +773,26 @@ _ITEM = rec("item", 0, 0)
 # stopped; a replay of that stale delivery would make the next watch hear it twice
 @example([("machine", 0, [[("watch", 0)], []])], [([("do-assert", _ITEM)], rec("hit", 0, 1)), (rec("hit", 0, 0),)])
 def test_every_live_endpoint_hears_each_present_match_once(program, steps):
-    _play_program(HearingDataspace, program, steps, after_turn=_hears_each_present_match_once())
+    _play_program(Dataspace, program, steps, after_turn=_hears_each_present_match_once())
 
 
 def _hears_each_retraction_at_most_once_per_presence():
-    """An after_turn hook. No on_retracted endpoint has heard a value's
+    """An after_turn hook. No on_retracted watch has heard a value's
     retraction more often than the value has left the bag: at most once per
     presence. The departures are counted from the bag, not from the routing
     or dispatch under test."""
     present, departures = set(), Counter()
 
-    def after_turn(ds):
+    def after_turn(ds, ears):
         nonlocal present
         now = set(ds.bag)
         departures.update(present - now)
         present = now
-        for aid, actor in ds.actors.items():
-            for ep, counts in actor.lost.items():
-                for v, n in counts.items():
-                    assert n <= departures[v], (aid, ep.facet.id, ep.pattern, v, n, departures[v])
+        for ep, counts in ears.items():
+            if ep.kind != "retracted":
+                continue
+            for v, n in counts.items():
+                assert n <= departures[v], (ep.facet.actor.aid, ep.facet.id, ep.pattern, v, n, departures[v])
 
     return after_turn
 
@@ -860,13 +803,4 @@ def _hears_each_retraction_at_most_once_per_presence():
 @example([("during", 0, [("watch", 0)]), ("watch", 0)],
          [([("do-assert", _ITEM)],), ([("do-retract", _ITEM)],)] * 2)
 def test_every_live_endpoint_hears_each_retraction_at_most_once_per_presence(program, steps):
-    _play_program(HearingDataspace, program, steps, after_turn=_hears_each_retraction_at_most_once_per_presence())
-
-
-def test_reference_runtimes_override_only_what_their_base_defines():
-    # an override of a name the base no longer has is never called, and the
-    # reference would silently check the runtime against itself
-    for cls in (ReferenceDispatch, MatchEveryEndpoint, RefilterEveryTurn, HearingDataspace, HearingActor):
-        (base,) = cls.__bases__
-        own = [name for name, x in vars(cls).items() if callable(x)]
-        assert own and [n for n in own if not callable(getattr(base, n, None))] == [], cls
+    _play_program(Dataspace, program, steps, after_turn=_hears_each_retraction_at_most_once_per_presence())

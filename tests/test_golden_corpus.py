@@ -2,7 +2,7 @@
 digests, in this process and in a child process whose hash seed and heap
 layout differ (criterion 10 only compares runs within one process). The
 child cannot import ``hypothesis``, so the corpus runs without the test
-dependencies."""
+dependencies. The reference model must write each corpus trace too."""
 
 import json
 import os
@@ -10,8 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import facetspace
-from golden_corpus import DIGESTS, digests
+import facetspace.expansions
+import facetspace.market
+import golden_corpus
+from conftest import runtime_switched_off
+from golden_corpus import DIGESTS, corpus, digests
+from reference_model import ModelDataspace
 
 
 def _mismatches(got: dict) -> list:
@@ -37,3 +44,14 @@ def test_golden_digests_in_perturbed_child():
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert _mismatches(json.loads(out.stdout)) == []
+
+
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_the_reference_model_writes_the_runtimes_trace(name, monkeypatch):
+    run = corpus()[name]
+    runtime = run()
+    for module in (golden_corpus, facetspace.market, facetspace.expansions):
+        monkeypatch.setattr(module, "Dataspace", ModelDataspace)
+    with runtime_switched_off():
+        model = run()
+    assert model == runtime
