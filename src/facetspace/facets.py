@@ -11,7 +11,7 @@ relevant :class:`Facet` as their first argument.
 from __future__ import annotations
 
 import logging
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Optional
 
 from .dataspace import (
@@ -52,7 +52,7 @@ class Field:
     def __init__(self, owner, initial):
         self.owner = owner
         self._value = initial
-        self.dependents = {}  # AssertEndpoints in first-read order, never in address order
+        self.dependents = set()  # AssertEndpoints whose last evaluation read it
 
     def __call__(self, *args):
         if not self.owner.alive:
@@ -61,7 +61,7 @@ class Field:
             ep = self.owner.actor._evaluating
             if ep is not None:
                 ep.read_fields.add(self)
-                self.dependents[ep] = True
+                self.dependents.add(ep)
             return self._value
         (new,) = args
         self._value = new
@@ -69,7 +69,7 @@ class Field:
 
 
 class AssertEndpoint:
-    __slots__ = ("facet", "compute", "current", "read_fields", "recompute_count")
+    __slots__ = ("facet", "compute", "current", "read_fields", "recompute_count", "order")
     kind = None  # handles no event
 
     def __init__(self, facet, compute):
@@ -82,7 +82,7 @@ class AssertEndpoint:
     def drop_reads(self):
         """Leave the dependents of every field the last evaluation read."""
         for f in self.read_fields:
-            f.dependents.pop(self, None)
+            f.dependents.discard(self)
         self.read_fields = set()
 
     def evaluate(self):
@@ -107,9 +107,6 @@ class HandlerEndpoint:
         self.pattern = pattern
         self.fn = fn
         self.current = message_interest(pattern) if kind == "message" else observe(pattern)
-        # where a walk of the facet tree in pre-order, then through each
-        # facet's endpoints, meets it: endpoints are only ever appended
-        self.order = (facet.id, len(facet.endpoints))
 
 
 class Facet:
@@ -143,16 +140,20 @@ class Facet:
         self._require_alive()
         ep = AssertEndpoint(self, spec if callable(spec) else lambda: spec)
         ep.current = ep.evaluate()
-        self.endpoints.append(ep)
-        self.actor.actions.append(Assert(ep.current))
-        return ep
+        return self._add(ep)
 
     def _handler(self, kind, pattern, fn):
         self._require_alive()
         check_linear(pattern)
-        ep = HandlerEndpoint(self, kind, pattern, fn)
-        self.endpoints.append(ep)
+        ep = self._add(HandlerEndpoint(self, kind, pattern, fn))
         self.actor.handlers.add(ep, pattern)
+        return ep
+
+    def _add(self, ep):
+        # ep.order is where a walk of the tree in facet pre-order, then
+        # endpoint order, meets it: endpoints are only ever appended
+        ep.order = (self.id, len(self.endpoints))
+        self.endpoints.append(ep)
         self.actor.actions.append(Assert(ep.current))
         return ep
 
@@ -209,7 +210,7 @@ class Actor:
         self.root = None
         self.actions = []
         self._evaluating = None
-        self._dirty = {}  # ordered set of AssertEndpoints
+        self._dirty = set()  # AssertEndpoints whose fields were written
         self.handlers = PatternIndex()  # every live HandlerEndpoint, filed under its pattern
 
     # -- scheduler interface ------------------------------------------------
@@ -267,15 +268,14 @@ class Actor:
                                 invocations.append((ep.order, j, ep, b))
         invocations.sort(key=itemgetter(0, 1))
         for _order, _j, ep, bindings in invocations:
-            if not ep.facet.alive:
-                continue
-            self._run_body(ep.facet, ep.fn, (bindings,))
+            if ep.facet.alive:
+                self._run_body(ep.facet, ep.fn, (bindings,))
 
     def _refresh(self):
-        """Recompute dirty assertions; emit retract/assert pairs on change."""
-        while self._dirty:
-            ep = next(iter(self._dirty))
-            del self._dirty[ep]
+        """Recompute dirty assertions in tree order, as dispatch runs
+        handlers; emit a retract/assert pair for each that changed."""
+        dirty, self._dirty = self._dirty, set()
+        for ep in sorted(dirty, key=attrgetter("order")):
             # marked dirty earlier in a turn in which its facet then stopped
             if not ep.facet.alive:
                 continue

@@ -550,9 +550,10 @@ def _check_number(what: str, x, kind: str):
 def check_config(config: ScenarioConfig):
     """The cast as (extended, (name, price) sellers, (name, fee) brokers).
     Raises ValueError for a cast of mixed shape, a price, fee, broker count
-    or balance that is not a number in range, an account name that is not a
-    string, a buyer that is not a (name, account) pair named once on an
-    account of the cast, or a timing out of range."""
+    or balance that is not a number in range, an account, seller or broker
+    name that is not a string or Symbol, a buyer that is not a (name,
+    account) pair named once on an account of the cast, or a timing out of
+    range."""
     sellers, brokers = config.sellers, config.brokers
     extended = isinstance(sellers, dict) and isinstance(brokers, dict)
     if extended:
@@ -565,9 +566,11 @@ def check_config(config: ScenarioConfig):
             "sellers and brokers must be a list of prices and a count (simple) or two dicts"
             " (extended), not %s and %s" % (type(sellers).__name__, type(brokers).__name__)
         )
-    for what, cast in [("a seller's price", sellers), ("a broker's fee", brokers)]:
-        for _name, x in cast:
-            _check_number(what, x, "price")
+    for role, what, cast in [("seller", "price", sellers), ("broker", "fee", brokers)]:
+        for name, x in cast:
+            if extended and not isinstance(name, (str, Symbol)):
+                raise ValueError("a %s name must be a string or Symbol, got %r" % (role, name))
+            _check_number("a %s's %s" % (role, what), x, "price")
     for acct, balance in config.accounts.items():
         if not isinstance(acct, (str, Symbol)):
             raise ValueError("an account name must be a string or Symbol, got %r" % (acct,))

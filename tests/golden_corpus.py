@@ -6,6 +6,8 @@ a child process with another hash seed and a shifted heap.
 Regenerate the file only for a change that is meant to alter traces:
 
     PYTHONPATH=src python tests/golden_corpus.py --write
+
+It prints each entry it added, changed or removed, one per line.
 """
 
 from __future__ import annotations
@@ -204,6 +206,36 @@ def republish_run() -> str:
     return sink.getvalue()
 
 
+def tree_order_boot(f):
+    """The root publishes (x x), child 0 (mid 0 y) and its child (deep y),
+    child 1 (mid 1 y), then the root (y y); a (bump) handler writes y, then
+    x. Tree order re-publishes x, y, mid 0, deep, mid 1."""
+    x, y = f.field(0), f.field(0)
+
+    def first_child(cf):
+        cf.publish(lambda: rec("mid", 0, y()))
+        cf.react(lambda gf: gf.publish(lambda: rec("deep", y())))
+
+    f.publish(lambda: rec("x", x()))
+    f.react(first_child)
+    f.react(lambda cf: cf.publish(lambda: rec("mid", 1, y())))
+    f.publish(lambda: rec("y", y()))
+    f.on_message(rpat("bump"), lambda hf, _b: (y(y() + 1), x(x() + 1)))
+
+
+def tree_order_run() -> str:
+    """Five computed assertions in three facets, re-published twice by a
+    body that writes their fields against tree order."""
+    sink = StringIO()
+    ds = Dataspace(trace_sink=sink)
+    ds.spawn(tree_order_boot)
+    ds.run_until_quiescent()
+    for _ in range(2):
+        ds.inject_message(rec("bump"))
+        ds.run_until_quiescent()
+    return sink.getvalue()
+
+
 def form_run(form: str) -> str:
     return "".join(got + want for _i, got, want in check_form(form))
 
@@ -219,6 +251,7 @@ def corpus() -> dict:
         entries["extended-3x3-seed%d" % seed] = lambda s=seed: extended_run(s)
     entries["ledger-4accounts"] = lambda: ledger_run(1)
     entries["republish-12"] = republish_run
+    entries["republish-tree-order"] = tree_order_run
     for form in ("during", "state-machine"):
         entries["expand-check-%s" % form] = lambda f=form: form_run(f)
     return entries
@@ -230,7 +263,11 @@ def digests() -> dict:
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
-        DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+        old, new = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}, digests()
+        for name in sorted(old.keys() | new.keys()):
+            if old.get(name) != new.get(name):
+                print("added" if name not in old else "removed" if name not in new else "changed", name)
+        DIGESTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     else:
         # Shift every later allocation, so identity hashes and heap layout
         # differ from the parent test process.

@@ -5,8 +5,8 @@ JSONL traces on the same inputs.
 It states each rule of README's "Reference semantics" directly, with no
 index, cache or dependency tracking. `ModelDataspace` recomputes every
 actor's deliveries from the bag and the actor's patterns after each turn;
-`ModelActor` finds handlers by walking its whole facet tree, and
-re-evaluates every assertion it publishes after every body. It shares no
+`ModelActor` walks its whole live facet tree to find handlers, and again
+after every body to re-evaluate every published assertion. It shares no
 logic with `facetspace.dataspace` or `facetspace.facets`: it takes only
 their record classes and exceptions, and matches with `reference_match`."""
 
@@ -228,7 +228,6 @@ class ModelFacet:
         compute = spec if callable(spec) else lambda: spec
         ep = Endpoint(facet=self, kind=None, current=to_value(compute()), compute=compute)
         self.endpoints.append(ep)
-        self.actor.published.append(ep)
         self.actor.actions.append(Assert(ep.current))
         return ep
 
@@ -290,7 +289,6 @@ class ModelActor:
         self.ds, self.boot = ds, boot
         self.root = None
         self.actions = []
-        self.published = []  # assertion endpoints, in the order they were published
 
     def handle_event(self, event):
         self.actions = []
@@ -318,11 +316,11 @@ class ModelActor:
             self.run_body(facet, h)
 
     def run_body(self, facet, body, args=()):
-        """Run body, then re-evaluate every live published assertion, in
-        publish order: a changed one is retracted and asserted anew."""
+        """Run body, then re-evaluate every published assertion of the live
+        tree, in facet pre-order, then endpoint order: a changed one is
+        retracted and asserted anew."""
         body(facet, *args)
-        self.published = [ep for ep in self.published if ep.facet.alive]
-        for ep in self.published:
+        for ep in [ep for f in _tree(self.root) for ep in f.endpoints if ep.kind is None]:
             new = to_value(ep.compute())
             if new != ep.current:
                 self.actions += [Retract(ep.current), Assert(new)]

@@ -135,6 +135,33 @@ def test_republish_follows_publish_order():
     assert asserted == list(range(12))
 
 
+def test_republish_follows_tree_order():
+    # the root publishes (x x), a child (mid y), the root (y y); a handler
+    # writes y, then x. Changed assertions are re-published in tree order,
+    # as dispatch runs handlers: not in field-write order (mid y x), nor in
+    # publish order (x mid y). The model must write the same trace.
+    def boot(f):
+        x, y = f.field(0), f.field(0)
+        f.publish(lambda: rec("x", x()))
+        f.react(lambda cf: cf.publish(lambda: rec("mid", y())))
+        f.publish(lambda: rec("y", y()))
+        f.on_message(rpat("bump"), lambda hf, _b: (y(y() + 1), x(x() + 1)))
+
+    def play(ds_class):
+        sink = io.StringIO()
+        ds = ds_class(trace_sink=sink)
+        ds.spawn(boot)
+        quiesce(ds)
+        ds.inject_message(rec("bump"))
+        (turn,) = ds.run_until_quiescent()
+        return [a.v.label.name for a in turn.actions if isinstance(a, Assert)], sink.getvalue()
+
+    runtime = play(Dataspace)
+    assert runtime[0] == ["x", "y", "mid"]
+    with runtime_switched_off():
+        assert play(ModelDataspace) == runtime
+
+
 def test_dead_field_access_raises():
     ds = Dataspace()
     cell = {}
@@ -560,15 +587,17 @@ def test_bank_account_example():
 # Every message handler but the catch-all listens for (hit k s), so one
 # message can bump a field, stop a facet and move a state machine, in tree
 # order. The watches hold their constant in the first field, in the second,
-# or hold no hole; a catch-all endpoint hears every message, and a timeout
-# installs its body once the virtual clock has advanced past its delay.
+# or hold no hole; a catch-all endpoint hears every message, a pair's one
+# handler writes two fields in the reverse of their assertions' tree order,
+# and a timeout installs its body once the virtual clock has advanced past
+# its delay.
 _key = st.integers(0, 1)
 _WATCHES = {
     "watch": lambda k: rpat("item", lit(k), cap("x")),
     "watch-last": lambda k: rpat("item", cap("x"), lit(k)),
     "watch-item": lambda k: lit(rec("item", k, 0)),
 }
-_leaf = st.tuples(st.sampled_from(["publish", *_WATCHES, "any"]), _key)
+_leaf = st.tuples(st.sampled_from(["publish", *_WATCHES, "any", "pair"]), _key)
 
 
 def _op(body):
@@ -629,6 +658,12 @@ def _run(f, body, ears):
             x, k = f.field(0), op[1]
             f.publish(lambda k=k, x=x: rec("heard", k, x()))
             f.on_message(cap("any"), lambda hf, _b, x=x: x(x() + 1))
+        elif kind == "pair":
+            # (first k x) here, then (second k y) in a child; the handler writes y, then x
+            x, y, k = f.field(0), f.field(0), op[1]
+            f.publish(lambda k=k, x=x: rec("first", k, x()))
+            f.react(lambda cf, k=k, y=y: cf.publish(lambda: rec("second", k, y())))
+            f.on_message(_hit(k), lambda hf, _b, x=x, y=y: (y(y() + 1), x(x() + 1)))
         elif kind == "react":
             f.react(_run, op[1], ears)
         elif kind == "stop":
@@ -688,6 +723,9 @@ def _play_program(ds_class, program, inputs, after_turn=lambda ds, ears: None):
 @example([("react", [("watch", 1), ("publish", 0)]), ("react", [("any", 0)]),
           ("react", [("watch", 0), ("publish", 0)])],
          [[("do-assert", rec("item", 0, 0)), ("do-assert", rec("item", 1, 0))], rec("hit", 0, 1)])
+# a pair in a child: one body writes y, then x, and (first 0 x) comes
+# before (second 0 y) in tree order; the root's (out 0 x) is bumped first
+@example([("react", [("pair", 0)]), ("publish", 0)], [rec("hit", 0, 1)])
 def test_dispatch_matches_a_match_on_every_endpoint(program, inputs):
     """The model finds handlers by matching every endpoint of the tree and
     re-evaluates every assertion after every body; the runtime must write

@@ -310,6 +310,9 @@ def test_cancel_unknown_order_is_warning_noop(caplog):
         pytest.param("simple", dict(sellers=["x"]), ValueError, "price must be a non-neg", id="price-str"),
         pytest.param("simple", dict(sellers=[-3]), ValueError, "price must be a non-neg", id="price"),
         pytest.param("extended", dict(brokers={"k1": -1}), ValueError, "fee must be a non-neg", id="fee"),
+        # a name that is no string or Symbol would give a simple-shape (price 40)
+        pytest.param("extended", dict(sellers={None: 40}), ValueError, "seller name must be", id="seller-name"),
+        pytest.param("extended", dict(brokers={3: 0}), ValueError, "broker name must be", id="broker-name"),
         pytest.param(
             "simple", dict(accounts={"a1": "lots"}), ValueError, "balance of a1 must be", id="balance-str"
         ),
