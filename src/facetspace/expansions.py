@@ -29,7 +29,7 @@ def puppet_boot(f):
         elif label == "do-retract":
             fct = held.pop(cmd.fields[0], None)
             if fct is not None and fct.alive:
-                hf.actor.stop_facet(fct)
+                fct.stop()
         elif label == "do-send":
             hf.send(cmd.fields[0])
 
@@ -54,7 +54,7 @@ def during_expanded_boot(f):
             return
 
         def child_body(cf):
-            cf.on_retracted(matched, lambda cf2, _b: cf2.stop(cf))
+            cf.on_retracted(matched, lambda _hf, _b: cf.stop())
             cf.publish(rec("seen", b["x"]))
 
         hf.react(child_body)
@@ -97,14 +97,14 @@ def machine_expanded_boot(f):
         sf.publish(rec("state", sym("one")))
         sf.on_message(
             rpat("go-two", cap("n")),
-            lambda hf, b: hf.actor.stop_facet(sf, lambda _pf: f.react(run_two, b["n"])),
+            lambda _hf, b: sf.stop(lambda _pf: f.react(run_two, b["n"])),
         )
 
     def run_two(sf, n):
         sf.publish(rec("state", sym("two"), n))
         sf.on_message(
             rpat("go-one"),
-            lambda hf, _b: hf.actor.stop_facet(sf, lambda _pf: f.react(run_one)),
+            lambda _hf, _b: sf.stop(lambda _pf: f.react(run_one)),
         )
 
     f.react(run_one)

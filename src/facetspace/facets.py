@@ -187,8 +187,8 @@ class Facet:
         self.actor._install(child, body, args)
         return child
 
-    def stop(self, facet: Optional["Facet"] = None, continuation: Optional[Callable] = None):
-        self.actor.stop_facet(facet if facet is not None else self, continuation)
+    def stop(self, continuation: Optional[Callable] = None):
+        self.actor.stop_facet(self, continuation)
 
     def send(self, v):
         self.actor.actions.append(Message(to_value(v)))
@@ -288,7 +288,6 @@ class Actor:
         if not facet.alive:
             log.warning("actor %d: stop of dead facet %r is a no-op", self.aid, facet.id)
             return
-        parent = facet.parent
 
         def run_stop_handlers(f):
             for c in list(f.children):
@@ -311,10 +310,10 @@ class Actor:
 
         run_stop_handlers(facet)
         teardown(facet)
-        if parent is not None:
-            parent.children.remove(facet)
+        if facet.parent is not None:
+            facet.parent.children.remove(facet)
             if continuation is not None:
-                self._run_body(parent, continuation)
+                self._run_body(facet.parent, continuation)
         elif continuation is None:
             self.actions.append(Quit())
         else:

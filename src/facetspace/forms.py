@@ -39,7 +39,7 @@ def during(f: Facet, pattern: Pattern, body: Callable):
             return
 
         def child_body(cf):
-            cf.on_retracted(matched, lambda cf2, _b: cf2.stop(cf))
+            cf.on_retracted(matched, lambda _hf, _b: cf.stop())
             body(cf, bindings)
 
         hf.react(child_body)
@@ -50,7 +50,7 @@ def during(f: Facet, pattern: Pattern, body: Callable):
 def stop_when(f: Facet, kind: str, pattern: Pattern, continuation: Optional[Callable] = None):
     """Stop the enclosing facet on the first matching event."""
     install = {"asserted": f.on_asserted, "retracted": f.on_retracted, "message": f.on_message}[kind]
-    install(pattern, lambda hf, _b: hf.actor.stop_facet(f, continuation))
+    install(pattern, lambda _hf, _b: f.stop(continuation))
 
 
 def _state_arity(fn) -> Optional[int]:
@@ -90,7 +90,7 @@ def state_machine(f: Facet, name: str, states) -> Callable:
             raise ArityMismatch(
                 "%s: goto %r with %d args, state takes %d" % (name, label, len(args), want)
             )
-        f.actor.stop_facet(current["facet"], lambda _pf: run_state(label, args))
+        current["facet"].stop(lambda _pf: run_state(label, args))
 
     run_state(states[0][0], ())
     return goto

@@ -195,7 +195,7 @@ def result_cache_boot(the_order: Value, answer: Symbol):
         def on_disinterest(hf, _b):
             live(live() - 1)
             if live() == 0:
-                hf.actor.stop_facet(f)
+                f.stop()
 
         f.on_asserted(meta, on_interest)
         f.on_retracted(meta, on_disinterest)
@@ -230,7 +230,7 @@ def wallet_boot():
                             if ok.b and ans != FULFILLED:
                                 deposit_back(pf, acct, _num(amt_v))
 
-                        hf2.actor.stop_facet(wf, cont)
+                        wf.stop(cont)
 
                     cf.on_asserted(rpat("order-result", lit(the_order), cap("ans")), on_result)
 
@@ -279,7 +279,7 @@ def _work_on_one_order(of, the_order, who, b, fee, wait_period):
     # `alive` turns every later answer away.
     def stop_with(answer: Symbol):
         if of.alive:
-            of.stop(of, continuation=lambda pf: pf.spawn(result_cache_boot(the_order, answer)))
+            of.stop(lambda pf: pf.spawn(result_cache_boot(the_order, answer)))
 
     def funding(sf):
         sf.publish(rec("funds-needed", the_order, acct, held))
@@ -366,7 +366,7 @@ def scripted_buyer_boot(handle: BuyerHandle, extended: bool = False, wait_period
                 def on_result(hf, rb):
                     handle.outcomes[ref] = rb["ans"].name
                     forget(ref, order)
-                    hf.actor.stop_facet(af)
+                    af.stop()
 
                 af.on_asserted(rpat("order-result", lit(the_order), cap("ans")), on_result)
 
@@ -384,14 +384,11 @@ def scripted_buyer_boot(handle: BuyerHandle, extended: bool = False, wait_period
                     def decide(hf2):
                         best = _cheapest(fees())
                         if best is not None:
-                            hf2.actor.stop_facet(
-                                self_,
-                                lambda pf: make_order(pf, ref, b["n"], b["maxp"], best[0]),
-                            )
+                            self_.stop(lambda pf: make_order(pf, ref, b["n"], b["maxp"], best[0]))
                         else:
                             handle.outcomes[ref] = "no-broker"
                             forget(ref, self_)
-                            hf2.actor.stop_facet(self_)
+                            self_.stop()
 
                     on_timeout(self_, wait_period, decide)
 
@@ -408,7 +405,7 @@ def scripted_buyer_boot(handle: BuyerHandle, extended: bool = False, wait_period
             if fct.parent is f:  # the selection facet: no broker has seen an order yet
                 handle.outcomes[ref] = "canceled"
                 del order_facets[ref]
-            hf.actor.stop_facet(fct)
+            fct.stop()
 
         f.on_message(rpat("place-order", lit(me), cap("ref"), cap("n"), cap("maxp")), place)
         f.on_message(rpat("cancel-order", lit(me), cap("ref")), cancel)
@@ -551,9 +548,9 @@ def check_config(config: ScenarioConfig):
     """The cast as (extended, (name, price) sellers, (name, fee) brokers).
     Raises ValueError for a cast of mixed shape, a price, fee, broker count
     or balance that is not a number in range, an account, seller or broker
-    name that is not a string or Symbol, a buyer that is not a (name,
-    account) pair named once on an account of the cast, or a timing out of
-    range."""
+    name that is not a string or Symbol or is another's as a Symbol, a buyer
+    that is not a (name, account) pair named once on an account of the
+    cast, or a timing out of range."""
     sellers, brokers = config.sellers, config.brokers
     extended = isinstance(sellers, dict) and isinstance(brokers, dict)
     if extended:
@@ -575,6 +572,10 @@ def check_config(config: ScenarioConfig):
         if not isinstance(acct, (str, Symbol)):
             raise ValueError("an account name must be a string or Symbol, got %r" % (acct,))
         _check_number("the balance of %s" % acct, balance, "amount")
+    for role, cast in [("account", config.accounts), ("seller", config.sellers), ("broker", config.brokers)]:
+        rendered = [render(_sym(name)) for name in cast] if isinstance(cast, dict) else []
+        if len(set(rendered)) < len(rendered):
+            raise ValueError("%s %s appears twice" % (role, max(rendered, key=rendered.count)))
     held, names = {_sym(acct) for acct in config.accounts}, set()
     for buyer in config.buyers:
         name, acct = buyer if isinstance(buyer, (tuple, list)) and len(buyer) == 2 else (None, None)

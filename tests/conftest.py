@@ -191,7 +191,7 @@ def named_puppet_boot(name: str):
             elif label == "do-retract":
                 fct = held.pop(cmd.fields[0], None)
                 if fct is not None and fct.alive:
-                    hf.actor.stop_facet(fct)
+                    fct.stop()
             elif label == "do-send":
                 hf.send(cmd.fields[0])
 

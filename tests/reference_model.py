@@ -264,8 +264,8 @@ class ModelFacet:
         self.actor.install(child, body, args)
         return child
 
-    def stop(self, facet=None, continuation=None):
-        self.actor.stop_facet(facet if facet is not None else self, continuation)
+    def stop(self, continuation=None):
+        self.actor.stop_facet(self, continuation)
 
     def send(self, v):
         self.actor.actions.append(Message(to_value(v)))

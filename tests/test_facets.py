@@ -44,7 +44,7 @@ def test_stop_actor_from_handler_runs_stop_handlers():
     def boot(f):
         f.publish(rec("flag"))
         f.on_stop(lambda sf: order.append("stopped"))
-        f.on_message(rpat("shutdown"), lambda hf, b: hf.actor.stop_facet(hf.actor.root))
+        f.on_message(rpat("shutdown"), lambda hf, b: hf.stop())
 
     aid = ds.spawn(boot)
     quiesce(ds)
@@ -91,7 +91,7 @@ def test_stopped_facets_leave_the_fields_they_read():
             f.react(lambda cf, i=i: parts.append(cf.publish(lambda: rec("part", i, x()))))
             for i in range(100)
         ]
-        f.on_message(rpat("stop-parts"), lambda hf, _b: [hf.stop(k) for k in kids])
+        f.on_message(rpat("stop-parts"), lambda hf, _b: [k.stop() for k in kids])
         f.on_message(rpat("bump"), lambda hf, _b: x(x() + 1))
 
     ds.spawn(boot)
@@ -168,7 +168,7 @@ def test_dead_field_access_raises():
 
     def boot(f):
         child = f.react(lambda cf: cell.__setitem__("fld", cf.field(1)))
-        f.stop(child)
+        child.stop()
 
     ds.spawn(boot)
     quiesce(ds)
@@ -215,7 +215,7 @@ def test_stop_handlers_post_order_and_continuation_in_parent():
         outer = f.react(outer_body)
         f.on_message(
             rpat("kill"),
-            lambda hf, b: hf.actor.stop_facet(outer, lambda pf: order.append(("cont", pf.id))),
+            lambda hf, b: outer.stop(lambda pf: order.append(("cont", pf.id))),
         )
 
     ds.spawn(boot)
@@ -230,8 +230,8 @@ def test_stop_dead_facet_is_noop_with_warning(caplog):
 
     def boot(f):
         child = f.react(lambda cf: None)
-        f.stop(child)
-        f.stop(child)
+        child.stop()
+        child.stop()
 
     ds.spawn(boot)
     quiesce(ds)
@@ -344,7 +344,7 @@ def test_dispatch_first_registered_wins_when_facet_dies():
 
     def boot(f):
         def body(cf):
-            cf.on_message(rpat("x"), lambda hf, b: (hits.append("first"), hf.stop(cf)))
+            cf.on_message(rpat("x"), lambda hf, b: (hits.append("first"), cf.stop()))
             cf.on_message(rpat("x"), lambda hf, b: hits.append("second"))
 
         f.react(body)
@@ -440,7 +440,7 @@ def test_stop_retracts_descendant_assertions_and_interests():
             cf.on_asserted(rpat("unrelated"), lambda hf, b: None)
 
         child = f.react(sub)
-        f.on_message(rpat("kill"), lambda hf, b: hf.stop(child))
+        f.on_message(rpat("kill"), lambda hf, b: child.stop())
 
     aid = ds.spawn(boot)
     quiesce(ds)
@@ -457,7 +457,7 @@ def test_root_stop_quits_actor():
 
     def boot(f):
         f.publish(rec("flag"))
-        f.on_message(rpat("die"), lambda hf, b: hf.stop(f))
+        f.on_message(rpat("die"), lambda hf, b: f.stop())
 
     aid = ds.spawn(boot)
     quiesce(ds)
@@ -475,7 +475,7 @@ def _die_turn(continuation):
 
     def boot(f):
         f.on_stop(lambda sf: sf.send(rec("bye")))
-        f.on_message(rpat("die"), lambda hf, b: hf.stop(f, continuation))
+        f.on_message(rpat("die"), lambda hf, b: f.stop(continuation))
 
     aid = ds.spawn(boot)
     quiesce(ds)
@@ -668,7 +668,7 @@ def _run(f, body, ears):
             f.react(_run, op[1], ears)
         elif kind == "stop":
             # the continuation installs its body in the parent
-            f.on_message(_hit(op[1]), lambda hf, _b, sub=op[2]: hf.stop(hf, lambda pf: _run(pf, sub, ears)))
+            f.on_message(_hit(op[1]), lambda hf, _b, sub=op[2]: hf.stop(lambda pf: _run(pf, sub, ears)))
         elif kind == "during":
             k, sub = op[1], op[2]
             during(f, rpat("item", lit(k), cap("x")), lambda cf, b, k=k, sub=sub: (

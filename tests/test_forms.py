@@ -321,7 +321,7 @@ def test_on_timeout_canceled_by_facet_stop():
 
     def boot(f):
         waiting = f.react(lambda cf: on_timeout(cf, 100, lambda hf: fired.append(1)))
-        f.on_message(rpat("abort"), lambda hf, b: hf.stop(waiting))
+        f.on_message(rpat("abort"), lambda hf, b: waiting.stop())
 
     ds.spawn(boot)
     quiesce(ds)

@@ -182,7 +182,7 @@ def test_result_cache_persists_until_interest_drops():
     def buyer(f):
         def on_result(hf, b):
             got.append(b["ans"])
-            hf.stop(f)  # confirmation: drop the interest
+            f.stop()  # confirmation: drop the interest
 
         f.on_asserted(result_pat, on_result)
 
@@ -202,7 +202,7 @@ def test_result_cache_survives_observer_churn():
     def holder(f):
         watch = f.react(lambda cf: cf.on_asserted(result_pat, lambda hf, b: None))
         f.react(lambda cf: cf.on_asserted(result_pat, lambda hf, b: None))
-        f.on_message(rpat("drop-one"), lambda hf, b: hf.stop(watch))
+        f.on_message(rpat("drop-one"), lambda hf, b: watch.stop())
 
     ds.spawn(holder)
     quiesce(ds)
@@ -322,6 +322,20 @@ def test_cancel_unknown_order_is_warning_noop(caplog):
         pytest.param("simple", dict(accounts={"a1": True}), ValueError, "balance of a1", id="balance-bool"),
         pytest.param("simple", dict(accounts={3: 10}), ValueError, "account name must be", id="account-name"),
         pytest.param("simple", dict(open_ms=True), ValueError, "open_ms must be", id="open-ms-bool"),
+        # two names that are one Symbol would run two sellers or brokers under
+        # one name, or start the bank with only the last of two balances
+        pytest.param(
+            "simple", dict(accounts={"a1": 500, sym("a1"): 300}), ValueError, "account a1 appears twice",
+            id="account-twice",
+        ),
+        pytest.param(
+            "extended", dict(sellers={"s1": 60, sym("s1"): 40}), ValueError, "seller s1 appears twice",
+            id="seller-twice",
+        ),
+        pytest.param(
+            "extended", dict(brokers={sym("k1"): 0, "k1": 5}), ValueError, "broker k1 appears twice",
+            id="broker-twice",
+        ),
     ],
 )
 def test_default_config_validation(scenario, overrides, error, message):

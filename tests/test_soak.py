@@ -1,9 +1,14 @@
 """Soak: a long run over a fixed working set keeps the runtime's tables at a
-fixed size. The trace grows by design and is not measured here."""
+fixed size, and scenarios run one after another leave no memory behind. The
+trace grows by design and is not measured here."""
 
-from facetspace import Dataspace, cap, rec, rpat
+import gc
+import tracemalloc
+
+from facetspace import Dataspace, cap, parse_all, rec, rpat
 from facetspace.drivers import Clock, advance_virtual_time, spawn_timer_driver
 from facetspace.forms import on_timeout
+from facetspace.market import default_config, parse_script, run_scenario
 
 ROUNDS = 1000
 # message round trips between the pair per round; they are the cheap turns
@@ -34,7 +39,7 @@ def test_tables_stay_flat_under_facet_and_timer_churn():
         def on_bump(hf, _b):
             n(n() + 1)
             for k in kids:
-                hf.stop(k)
+                k.stop()
             # even rounds set a timer that fires; odd rounds one that the
             # next round cancels by stopping its facet
             delay = 5 if n() % 2 == 0 else 1000
@@ -74,3 +79,39 @@ def test_tables_stay_flat_under_facet_and_timer_churn():
     assert len(ds.trace) >= 20_000
     assert cell["fired"] == ROUNDS // 2
     assert sizes() == at_200
+
+
+def test_scenarios_run_in_turn_leave_no_memory_behind():
+    # each run varies only its prices, so it builds order records and
+    # patterns no other run builds: a module-level cache keyed by them (of
+    # compiled patterns, say) grows with every run, where a cache of the few
+    # names the runs share does not
+    def run(i):
+        config = default_config(
+            "extended",
+            accounts={"a1": 1000, "a2": 1000},
+            buyers=[("b1", "a1"), ("b2", "a2")],
+            sellers={"s1": 40 + i, "s2": 55 + i},
+        )
+        script = parse_script(parse_all(
+            "(place b1 o1 5 %d)(place b2 o2 3 %d)(advance 150)(cancel b2 o2)(advance 600)(expect-quiescent)"
+            % (60 + i, 70 + i)
+        ))
+        r = run_scenario(config, script)
+        assert r.order_outcomes == {"o1": "fulfilled", "o2": "canceled"}
+        assert r.final_balances == {"a1": 1000 - 5 * (40 + i), "a2": 1000}
+
+    for i in range(1, 6):  # fill the caches every run shares
+        run(i)
+    gc.collect()
+    # tracemalloc sees only what is allocated once it starts: what it still
+    # holds after run 20 is what runs 6 to 20 left behind
+    tracemalloc.start()
+    try:
+        for i in range(6, 21):
+            run(i)
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert left <= 4096, "%d bytes left behind by 15 runs" % left
