@@ -14,24 +14,19 @@ ITEM = rpat("item", cap("x"))
 
 
 def puppet_boot(f):
-    """Externally driven actor: (drive (do-assert v)), (do-retract v),
-    (do-send v) messages turn into the corresponding actions."""
+    """Externally driven actor: a (drive (do-assert v)) message asserts v in
+    a child facet, and (drive (do-retract v)) stops that child."""
     held = {}
 
     def run_cmd(hf, cmd):
         label = cmd.label.name
-        if label == "do-batch":
-            for c in cmd.fields[0].items:
-                run_cmd(hf, c)
-        elif label == "do-assert":
+        if label == "do-assert":
             v = cmd.fields[0]
             held[v] = hf.react(lambda cf, v=v: cf.publish(v))
         elif label == "do-retract":
             fct = held.pop(cmd.fields[0], None)
             if fct is not None and fct.alive:
                 fct.stop()
-        elif label == "do-send":
-            hf.send(cmd.fields[0])
 
     f.on_message(rpat("drive", cap("cmd")), lambda hf, b: run_cmd(hf, b["cmd"]))
 

@@ -9,6 +9,9 @@ The extended variant names its sellers and brokers: brokers pick the
 cheapest seller after a collection window, buyers pick the cheapest broker.
 Both variants run the same actors; they differ in the optional name field of
 the price, order, purchase-request and purchase-result records.
+
+Every amount (price, fee, balance, deposit) is an Integer in minor units,
+such as cents, so market arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .dataspace import Dataspace
 from .drivers import Clock, advance_virtual_time, spawn_timer_driver
 from .forms import during, on_timeout, query_map, state_machine, stop_when
 from .values import (
-    Decimal,
     Integer,
     Record,
     Symbol,
@@ -45,14 +47,6 @@ ANSWERS = (CANCELED, INSUFFICIENT_FUNDS, NO_PRICE_MATCH, FULFILLED)
 TRADING_DAY_OPEN = rec("trading-day-open")
 
 
-def _num(v: Value):
-    if isinstance(v, Integer):
-        return v.n
-    if isinstance(v, Decimal):
-        return v.x
-    raise TypeError("not a number: %r" % (v,))
-
-
 def _sym(x):
     return sym(x) if isinstance(x, str) else x
 
@@ -66,7 +60,7 @@ def _names(name) -> tuple:
 def _cheapest(offers: dict):
     """The (name, price) of the lowest price, ties broken by rendered name;
     None when there is no offer."""
-    return min(offers.items(), key=lambda kv: (_num(kv[1]), render(kv[0])), default=None)
+    return min(offers.items(), key=lambda kv: (kv[1].n, render(kv[0])), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +107,7 @@ def bank_boot(handle: BankHandle):
 
     def transaction(tf, label, sign, checked):
         def body(cf, b):
-            tid, acct, amt = b["id"], b["acct"], _num(b["amt"])
+            tid, acct, amt = b["id"], b["acct"], b["amt"].n
             ok = handle.processed.get(tid)
             if ok is None:
                 ok = acct in handle.balances and (not checked or handle.balances[acct] >= amt)
@@ -169,7 +163,7 @@ def seller_boot(desired, name=None):
             tf.publish(rec("price", *who, desired))
 
             def respond(cf, b):
-                cf.publish(rec("purchase-result", b["id"], *who, _num(b["offered"]) >= desired))
+                cf.publish(rec("purchase-result", b["id"], *who, b["offered"].n >= desired))
 
             during(tf, rpat("purchase-request", cap("id"), *who, cap("count"), cap("offered")), respond)
 
@@ -228,7 +222,7 @@ def wallet_boot():
 
                         def cont(pf):
                             if ok.b and ans != FULFILLED:
-                                deposit_back(pf, acct, _num(amt_v))
+                                deposit_back(pf, acct, amt_v.n)
 
                         wf.stop(cont)
 
@@ -272,7 +266,7 @@ def _work_on_one_order(of, the_order, who, b, fee, wait_period):
     """One order as one conversation: funding, choosing a price, purchase."""
     acct = b["acct"]
     n = b["n"].n
-    maxp = _num(b["maxp"])
+    maxp = b["maxp"].n
     held = n * maxp
 
     # Stopping is synchronous: once the first answer stops the order facet,
@@ -295,7 +289,7 @@ def _work_on_one_order(of, the_order, who, b, fee, wait_period):
 
     def buy_within_max(offer):
         """offer: the chosen (seller, price), or None."""
-        if offer is not None and _num(offer[1]) <= maxp:
+        if offer is not None and offer[1].n <= maxp:
             goto("purchase", *offer)
         else:
             stop_with(NO_PRICE_MATCH)
@@ -315,7 +309,7 @@ def _work_on_one_order(of, the_order, who, b, fee, wait_period):
 
     def complete_purchase(sf, seller, actual_v):
         seller_who = _names(seller)
-        actual = _num(actual_v)
+        actual = actual_v.n
         sf.publish(rec("purchase-request", the_order, *seller_who, n, actual_v))
 
         def on_ok(hf, _b):
@@ -428,12 +422,12 @@ def bank_account_boot():
             next_account(next_account() + 1)
 
             def account_body(af):
-                bal = af.field(_num(b["initial"]))
+                bal = af.field(b["initial"].n)
                 af.publish(rec("account-for", b["client"], account_number))
                 af.publish(lambda: rec("balance", account_number, bal()))
                 af.on_message(
                     rpat("deposit", lit(rec("acct", account_number)), cap("amt")),
-                    lambda hf2, db: bal(bal() + _num(db["amt"])),
+                    lambda hf2, db: bal(bal() + db["amt"].n),
                 )
 
             hf.react(account_body)
@@ -480,12 +474,8 @@ _FIELD_KINDS = {
     "account": ("a symbol", lambda v: isinstance(v, Symbol), lambda v: v),
     "ms": ("a non-negative integer", lambda v: isinstance(v, Integer) and v.n >= 0, lambda v: v.n),
     "count": ("a positive integer", lambda v: isinstance(v, Integer) and v.n > 0, lambda v: v),
-    "price": (
-        "a non-negative number",
-        lambda v: isinstance(v, (Integer, Decimal)) and _num(v) >= 0,
-        lambda v: v,
-    ),
-    "amount": ("a number", lambda v: isinstance(v, (Integer, Decimal)), _num),
+    "price": ("a non-negative integer", lambda v: isinstance(v, Integer) and v.n >= 0, lambda v: v),
+    "amount": ("an integer", lambda v: isinstance(v, Integer), lambda v: v.n),
 }
 
 
@@ -536,18 +526,18 @@ class ScenarioResult:
         return {ref: ans for h in self.buyers.values() for ref, ans in h.outcomes.items()}
 
 
-def _check_number(what: str, x, kind: str):
-    """Refuse a host value that is not an int or float (a bool is an int,
-    NaN is no value) of a script field kind."""
+def _check_integer(what: str, x, kind: str):
+    """Refuse a host value that is not an int (a bool is an int) of a script
+    field kind."""
     desc, ok, _keep = _FIELD_KINDS[kind]
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or x != x or not ok(to_value(x)):
+    if isinstance(x, bool) or not isinstance(x, int) or not ok(to_value(x)):
         raise ValueError("%s must be %s, got %r" % (what, desc, x))
 
 
 def check_config(config: ScenarioConfig):
     """The cast as (extended, (name, price) sellers, (name, fee) brokers).
     Raises ValueError for a cast of mixed shape, a price, fee, broker count
-    or balance that is not a number in range, an account, seller or broker
+    or balance that is not an integer in range, an account, seller or broker
     name that is not a string or Symbol or is another's as a Symbol, a buyer
     that is not a (name, account) pair named once on an account of the
     cast, or a timing out of range."""
@@ -556,7 +546,7 @@ def check_config(config: ScenarioConfig):
     if extended:
         sellers, brokers = sellers.items(), brokers.items()
     elif isinstance(sellers, list) and isinstance(brokers, int):
-        _check_number("brokers", brokers, "ms")  # a count
+        _check_integer("brokers", brokers, "ms")  # a count
         sellers, brokers = [(None, p) for p in sellers], [(None, 0)] * brokers
     else:
         raise ValueError(
@@ -567,11 +557,11 @@ def check_config(config: ScenarioConfig):
         for name, x in cast:
             if extended and not isinstance(name, (str, Symbol)):
                 raise ValueError("a %s name must be a string or Symbol, got %r" % (role, name))
-            _check_number("a %s's %s" % (role, what), x, "price")
+            _check_integer("a %s's %s" % (role, what), x, "price")
     for acct, balance in config.accounts.items():
         if not isinstance(acct, (str, Symbol)):
             raise ValueError("an account name must be a string or Symbol, got %r" % (acct,))
-        _check_number("the balance of %s" % acct, balance, "amount")
+        _check_integer("the balance of %s" % acct, balance, "amount")
     for role, cast in [("account", config.accounts), ("seller", config.sellers), ("broker", config.brokers)]:
         rendered = [render(_sym(name)) for name in cast] if isinstance(cast, dict) else []
         if len(set(rendered)) < len(rendered):

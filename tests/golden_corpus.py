@@ -236,6 +236,74 @@ def tree_order_run() -> str:
     return sink.getvalue()
 
 
+def chat_user_boot(name: str, rooms):
+    """A chat user in the style of Garnock-Jones's chat examples (2017). In
+    each room it asserts its presence and hears every member's join, leave
+    and speech, counting them in (heard name n). It speaks on (say name room
+    text), leaves a room on (leave name room), and drops its connection on
+    (drop name): the handler raises, and the actor ends holding its
+    assertions, so the dataspace retracts them."""
+    me = sym(name)
+
+    def boot(f):
+        heard = f.field(0)
+        f.publish(lambda: rec("heard", me, heard()))
+
+        def hear(hf, _b):
+            heard(heard() + 1)
+
+        def in_room(rf, room):
+            member = rpat("present", lit(room), cap("who"))
+            rf.publish(rec("present", room, me))
+            rf.on_asserted(member, hear)
+            rf.on_retracted(member, hear)
+            rf.on_message(rpat("says", lit(room), cap("who"), cap("text")), hear)
+            rf.on_message(
+                rpat("say", lit(me), lit(room), cap("text")), lambda hf, b: hf.send(rec("says", room, me, b["text"]))
+            )
+            rf.on_message(rpat("leave", lit(me), lit(room)), lambda hf, _b: rf.stop())
+
+        def drop(hf, _b):
+            raise ConnectionResetError("%s dropped its connection" % name)
+
+        for room in rooms:
+            f.react(in_room, sym(room))
+        f.on_message(rpat("drop", lit(me)), drop)
+
+    return boot
+
+
+def chat_room_run() -> str:
+    """Two rooms: u1 and u2 join both, u0 only the lobby, u3 only dev. Each
+    message said has every member of its room as a hearer. u1 drops while
+    present in both rooms, so u2 hears two leaves in one patch; u3 leaves
+    dev; u4 joins both rooms late and hears who is there; u2 drops too."""
+    sink = StringIO()
+    ds = Dataspace(trace_sink=sink)
+    for name, rooms in [("u0", ["lobby"]), ("u1", ["lobby", "dev"]), ("u2", ["lobby", "dev"]), ("u3", ["dev"])]:
+        ds.spawn(chat_user_boot(name, rooms))
+    ds.run_until_quiescent()
+    u0, u1, u2, u3, u4, lobby, dev = (sym(s) for s in ("u0", "u1", "u2", "u3", "u4", "lobby", "dev"))
+
+    def run(*commands):
+        for command in commands:
+            ds.inject_message(command)
+            ds.run_until_quiescent()
+
+    run(
+        rec("say", u0, lobby, "hello"),
+        rec("say", u3, dev, "build is green"),
+        rec("drop", u1),
+        rec("say", u2, lobby, "u1 dropped"),
+        rec("leave", u3, dev),
+        rec("say", u2, dev, "anyone here?"),
+    )
+    ds.spawn(chat_user_boot("u4", ["lobby", "dev"]))
+    ds.run_until_quiescent()
+    run(rec("say", u0, lobby, "welcome u4"), rec("drop", u2), rec("say", u4, dev, "just me"))
+    return sink.getvalue()
+
+
 def form_run(form: str) -> str:
     return "".join(got + want for _i, got, want in check_form(form))
 
@@ -252,6 +320,7 @@ def corpus() -> dict:
     entries["ledger-4accounts"] = lambda: ledger_run(1)
     entries["republish-12"] = republish_run
     entries["republish-tree-order"] = tree_order_run
+    entries["chat-room"] = chat_room_run
     for form in ("during", "state-machine"):
         entries["expand-check-%s" % form] = lambda f=form: form_run(f)
     return entries

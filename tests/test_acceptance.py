@@ -7,7 +7,7 @@ Criteria:
  3. crash cleanup: no leaked assertions, no stop handlers on crash
  4. derived forms trace-identical to their hand expansions
  5. deterministic dispatch of contradictory events in one batch
- 6. market arithmetic on the five canonical order paths
+ 6. market arithmetic, in integers, on the five canonical order paths and in cents
  7. money conservation at every quiescent point of random scripts
  8. day-boundary persistence: split-day run equals single-day run
  9. extended scenario: min-price selection and empty-market fallback
@@ -262,13 +262,18 @@ def test_criterion_6_market_arithmetic():
         ("cancel-after-funding", default_config("simple", sellers=[]),
          "(place b1 o1 5 50)(expect-quiescent)(cancel b1 o1)(expect-quiescent)",
          {"o1": "canceled"}, {"a1": 1000}),
+        # amounts are in minor units: 65.61 at 2 x 0.49 from a 2.08 hold
+        ("cents", default_config("simple", accounts={"a1": 6561}, sellers=[49]),
+         "(place b1 o1 2 208)(advance 400)",
+         {"o1": "fulfilled"}, {"a1": 6463}),
     ]
     bad = []
     for name, cfg, text, want_out, want_bal in cases:
         out, bal = _run(cfg, text)
-        if out != want_out or bal != want_bal:
+        # 6463.0 == 6463: only the type tells a float balance apart
+        if out != want_out or bal != want_bal or any(type(v) is not int for v in bal.values()):
             bad.append((name, out, bal))
-    report(6, "order arithmetic exact on all five canonical paths", bad == [])
+    report(6, "order arithmetic exact, in integers, on all five canonical paths and in cents", bad == [])
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ nothing is visited compares both with 0).
 
 Setting up MANY bystander actors costs seconds: every boot turn runs the
 initial-patch scan over every actor and the whole bag (ROADMAP item 1). So
-the bag contracts share one set-up per size, `_bag_visits`."""
+the bag and broadcast contracts share one set-up per size, `_visits`."""
 
 import functools
 
 import pytest
 
 from conftest import (
+    CountingIndex,
     count_bag_visits,
     drive_cmd,
     named_puppet_boot,
@@ -88,15 +89,35 @@ class Quitter:
         return []
 
 
+class Listener:
+    """Bare runtime holding one message interest, in (said x); it counts
+    the messages it hears."""
+
+    def __init__(self):
+        self.heard = 0
+
+    def handle_event(self, event):
+        if isinstance(event, BootEvent):
+            return [Assert(message_interest(rpat("said", cap("x"))))]
+        if isinstance(event, MessageEvent):
+            self.heard += 1
+        return []
+
+
+HEARERS = 5
+
+
 @functools.cache
-def _bag_visits(n):
+def _visits(n):
     """Bag entries visited beside n bystanders, in this order: by the
     Quitter's spawn up to quiescence, by the steady-state turn in which it
     asserts (cell 3), by a `query` for cells, and by `_terminate` when it
-    quits. One set-up per n serves every contract below. Only `_terminate`
-    is counted at the quit: the initial-patch scan of the quit turn's
-    routing is item 1's and item 16's to bound."""
+    quits. Only `_terminate` is counted at the quit: the initial-patch scan
+    of the quit turn's routing is item 1's and item 16's to bound. Then the
+    routing candidates tested for one (said 1) message that HEARERS
+    listeners hear. One set-up per n serves every contract below."""
     ds = Dataspace()
+    ds.index = CountingIndex()
     spawn_bystanders(ds, n)
     ds.run_until_quiescent()
     bag, visits = count_bag_visits(ds), {}
@@ -118,6 +139,15 @@ def _bag_visits(n):
     ds.inject_message(rec("leave"))
     ds.run_until_quiescent()
     assert ds.query(rpat("cell", cap("k"))) == []
+    listeners = [Listener() for _ in range(HEARERS)]
+    for listener in listeners:
+        ds.spawn(listener)
+    ds.run_until_quiescent()
+    ds.index.visits = 0
+    ds.inject_message(rec("said", 1))
+    ds.run_until_quiescent()
+    assert [listener.heard for listener in listeners] == [1] * HEARERS
+    visits["broadcast"] = ds.index.visits
     return visits
 
 
@@ -126,7 +156,7 @@ def _bag_visits(n):
     reason="ROADMAP item 3: a new actor's initial patch scans the whole bag for what its patterns match",
 )
 def test_a_spawn_visits_in_proportion_to_what_its_patterns_match():
-    assert _bag_visits(MANY)["spawn"] == _bag_visits(FEW)["spawn"]
+    assert _visits(MANY)["spawn"] == _visits(FEW)["spawn"]
 
 
 @pytest.mark.xfail(
@@ -134,12 +164,12 @@ def test_a_spawn_visits_in_proportion_to_what_its_patterns_match():
     reason="ROADMAP item 1: every patch turn scans the whole bag once per actor for initial patches",
 )
 def test_a_steady_state_turn_visits_no_bag_entry():
-    assert (_bag_visits(FEW)["steady"], _bag_visits(MANY)["steady"]) == (0, 0)
+    assert (_visits(FEW)["steady"], _visits(MANY)["steady"]) == (0, 0)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: query tests every present value")
 def test_a_query_visits_in_proportion_to_its_matches():
-    assert _bag_visits(MANY)["query"] == _bag_visits(FEW)["query"]
+    assert _visits(MANY)["query"] == _visits(FEW)["query"]
 
 
 @pytest.mark.xfail(
@@ -147,4 +177,10 @@ def test_a_query_visits_in_proportion_to_its_matches():
     reason="ROADMAP item 3: _terminate scans the whole bag until each actor keeps an owned-assertion set",
 )
 def test_termination_visits_the_copies_the_actor_held_not_the_bag():
-    assert _bag_visits(MANY)["termination"] == _bag_visits(FEW)["termination"]
+    assert _visits(MANY)["termination"] == _visits(FEW)["termination"]
+
+
+def test_a_broadcast_tests_about_as_many_candidates_as_it_has_hearers():
+    few, many = _visits(FEW)["broadcast"], _visits(MANY)["broadcast"]
+    assert many == few
+    assert HEARERS <= few <= 2 * HEARERS

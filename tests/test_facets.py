@@ -18,7 +18,7 @@ from facetspace import Dataspace, Integer, Record, Symbol, cap, lit, rec, rpat, 
 from facetspace.dataspace import Assert, Quit
 from facetspace.drivers import advance_virtual_time, spawn_timer_driver
 from facetspace.forms import during, on_timeout, state_machine
-from facetspace.values import compile_test, instantiate, observe, to_value
+from facetspace.values import compile_test, instantiate, observe, spat, to_value
 from facetspace.facets import DeadFieldAccess, render_tree
 from facetspace.market import bank_account_boot
 from golden_corpus import republish_boot
@@ -203,6 +203,34 @@ def test_on_start_ordering_and_immediate_run_when_started():
     assert ran == ["now"]  # facet already started: handler runs immediately
 
 
+def test_a_start_handler_that_stops_its_facet_runs_no_later_start_handler():
+    # the child's first start handler stops the child: its second start
+    # handler must not run, and the model must write the same trace
+    ran = []
+
+    def boot(f):
+        def child(cf):
+            cf.publish(rec("child-up"))
+            cf.on_start(lambda sf: (ran.append("first"), sf.stop()))
+            cf.on_start(lambda sf: ran.append("second"))
+
+        f.react(child)
+        f.publish(rec("root-up"))
+
+    def play(ds_class):
+        ran.clear()
+        sink = io.StringIO()
+        ds = ds_class(trace_sink=sink)
+        ds.spawn(boot)
+        quiesce(ds)
+        return list(ran), ds.query(cap("v")), sink.getvalue()
+
+    runtime = play(Dataspace)
+    assert runtime[:2] == (["first"], [rec("root-up")])
+    with runtime_switched_off():
+        assert play(ModelDataspace) == runtime
+
+
 def test_stop_handlers_post_order_and_continuation_in_parent():
     ds = Dataspace()
     order = []
@@ -304,6 +332,36 @@ def test_a_during_that_sees_a_hole_in_a_value_starts_no_child(caplog):
     quiesce(ds)
     assert children == [Integer(1)] and len(ds.actors[0].root.children) == 1
     assert not any(t.crashed for t in ds.trace)
+
+
+def test_a_during_over_a_sequence_pattern_runs_one_child_per_present_value():
+    # each child watches its own value, a sequence, for its retraction; the
+    # model must write the same trace
+    def boot(f):
+        during(f, spat("pair", cap("a"), cap("b")), lambda cf, b: cf.publish(rec("seen", b["a"], b["b"])))
+
+    def play(ds_class):
+        sink = io.StringIO()
+        ds = ds_class(trace_sink=sink)
+        ds.spawn(boot)
+        ds.spawn(named_puppet_boot("a"))
+        quiesce(ds)
+        seen = []
+        one, two = spat("pair", 1, 2), spat("pair", 3, 4)
+        for cmd, pair in [("do-assert", one), ("do-assert", two), ("do-retract", one)]:
+            ds.inject_message(drive_cmd("a", cmd, pair))
+            quiesce(ds)
+            seen.append(ds.query(rpat("seen", cap("a"), cap("b"))))
+        return seen, sink.getvalue()
+
+    runtime = play(Dataspace)
+    assert runtime[0] == [
+        [rec("seen", 1, 2)],
+        [rec("seen", 1, 2), rec("seen", 3, 4)],
+        [rec("seen", 3, 4)],
+    ]
+    with runtime_switched_off():
+        assert play(ModelDataspace) == runtime
 
 
 def test_an_endpoint_and_the_routing_table_share_one_compiled_pattern():

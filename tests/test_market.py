@@ -249,9 +249,12 @@ def test_parse_script_rejects_junk():
         ("(advance foo)", "step 1: (advance foo): field 1 must be a non-negative integer"),
         ("(advance -100)", "step 1: (advance -100): field 1 must be a non-negative integer"),
         ("(advance 5)(place b1 o1 0 50)", "step 2: (place b1 o1 0 50): field 3 must be a positive integer"),
-        ("(place b1 o1 5 -1)", "step 1: (place b1 o1 5 -1): field 4 must be a non-negative number"),
+        ("(place b1 o1 5 -1)", "step 1: (place b1 o1 5 -1): field 4 must be a non-negative integer"),
+        # money is an integer in minor units: a decimal amount is refused
+        ("(place b1 o1 5 50.5)", "step 1: (place b1 o1 5 50.5): field 4 must be a non-negative integer"),
         ("(cancel 3 o1)", "step 1: (cancel 3 o1): field 1 must be a symbol"),
-        ("(assert-balance a1 lots)", "step 1: (assert-balance a1 lots): field 2 must be a number"),
+        ("(assert-balance a1 lots)", "step 1: (assert-balance a1 lots): field 2 must be an integer"),
+        ("(assert-balance a1 64.63)", "step 1: (assert-balance a1 64.63): field 2 must be an integer"),
         ('(assert-order-result o1 "ok")', 'step 1: (assert-order-result o1 "ok"): field 2 must be a symbol'),
         # outcomes are keyed by ref, so b2's answer would hide b1's
         (
@@ -310,6 +313,19 @@ def test_cancel_unknown_order_is_warning_noop(caplog):
         pytest.param("simple", dict(sellers=["x"]), ValueError, "price must be a non-neg", id="price-str"),
         pytest.param("simple", dict(sellers=[-3]), ValueError, "price must be a non-neg", id="price"),
         pytest.param("extended", dict(brokers={"k1": -1}), ValueError, "fee must be a non-neg", id="fee"),
+        # money is an integer in minor units, so arithmetic on it is exact
+        pytest.param(
+            "simple", dict(sellers=[0.49]), ValueError, "price must be a non-negative integer, got 0.49",
+            id="price-decimal",
+        ),
+        pytest.param(
+            "extended", dict(brokers={"k1": 0.5}), ValueError, "fee must be a non-negative integer, got 0.5",
+            id="fee-decimal",
+        ),
+        pytest.param(
+            "simple", dict(accounts={"a1": 65.61}), ValueError, "the balance of a1 must be an integer, got 65.61",
+            id="balance-decimal",
+        ),
         # a name that is no string or Symbol would give a simple-shape (price 40)
         pytest.param("extended", dict(sellers={None: 40}), ValueError, "seller name must be", id="seller-name"),
         pytest.param("extended", dict(brokers={3: 0}), ValueError, "broker name must be", id="broker-name"),
