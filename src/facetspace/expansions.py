@@ -8,7 +8,7 @@ from io import StringIO
 
 from .dataspace import Dataspace
 from .forms import during, state_machine
-from .values import cap, instantiate, rec, rpat, sym
+from .values import cap, rec, rpat, sym
 
 ITEM = rpat("item", cap("x"))
 
@@ -42,19 +42,16 @@ def during_form_boot(f):
 
 
 def during_expanded_boot(f):
+    children = {}  # x -> the child publishing (seen x)
+
     def on_appear(hf, b):
-        try:
-            matched = instantiate(ITEM, b)
-        except ValueError:  # a value holding a hole record starts no child
-            return
+        children[b["x"]] = hf.react(lambda cf: cf.publish(rec("seen", b["x"])))
 
-        def child_body(cf):
-            cf.on_retracted(matched, lambda _hf, _b: cf.stop())
-            cf.publish(rec("seen", b["x"]))
-
-        hf.react(child_body)
+    def on_retract(_hf, b):
+        children.pop(b["x"]).stop()
 
     f.on_asserted(ITEM, on_appear)
+    f.on_retracted(ITEM, on_retract)
 
 
 DURING_SCHEDULES = [

@@ -12,7 +12,7 @@ import logging
 from typing import Callable, Optional
 
 from .facets import Facet, Field
-from .values import Pattern, capture_names, instantiate, lit, rec, render, rpat
+from .values import Pattern, capture_names, lit, rec, render, rpat
 
 log = logging.getLogger(__name__)
 
@@ -26,38 +26,38 @@ class ArityMismatch(TypeError):
 
 
 def during(f: Facet, pattern: Pattern, body: Callable):
-    """Run ``body(child, bindings)`` in a child facet for as long as a
-    matching assertion is present; one child per distinct matched value.
-    A value holding a hole record cannot be watched for its retraction, so
-    it starts no child."""
+    """Run ``body(child, bindings)`` in a child facet for as long as an
+    assertion matching pattern with those bindings is present: one child per
+    distinct bindings, stopped when the last of its matches goes."""
+    children = {}  # tuple(bindings.values()) -> [child facet, matches present]
 
-    def on_appear(hf, bindings):
-        try:
-            matched = instantiate(pattern, bindings)
-        except ValueError as e:
-            log.warning("during: no child for a match of %s: %s", render(pattern), e)
+    def on_appear(hf, b):
+        key = tuple(b.values())
+        entry = children.get(key)
+        if entry is None:
+            children[key] = [hf.react(body, b), 1]
+        else:
+            entry[1] += 1
+
+    def on_disappear(_hf, b):
+        key = tuple(b.values())
+        entry = children.get(key)
+        if entry is None:  # a retraction this during never heard asserted
             return
-
-        def child_body(cf):
-            cf.on_retracted(matched, lambda _hf, _b: cf.stop())
-            body(cf, bindings)
-
-        hf.react(child_body)
+        entry[1] -= 1
+        if entry[1] == 0:
+            del children[key]
+            if entry[0].alive:  # unless the child already stopped itself
+                entry[0].stop()
 
     f.on_asserted(pattern, on_appear)
+    f.on_retracted(pattern, on_disappear)
 
 
 def stop_when(f: Facet, kind: str, pattern: Pattern, continuation: Optional[Callable] = None):
     """Stop the enclosing facet on the first matching event."""
     install = {"asserted": f.on_asserted, "retracted": f.on_retracted, "message": f.on_message}[kind]
     install(pattern, lambda _hf, _b: f.stop(continuation))
-
-
-def _state_arity(fn) -> Optional[int]:
-    params = list(inspect.signature(fn).parameters.values())
-    if any(p.kind == inspect.Parameter.VAR_POSITIONAL for p in params):
-        return None
-    return len([p for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]) - 1
 
 
 def state_machine(f: Facet, name: str, states) -> Callable:
@@ -70,7 +70,7 @@ def state_machine(f: Facet, name: str, states) -> Callable:
     table = dict(states)
     if len(table) != len(states):
         raise ValueError("duplicate state label in machine %r" % name)
-    arity = {label: _state_arity(fn) for label, fn in states}
+    signatures = {label: inspect.signature(fn) for label, fn in states}
     current = {}
 
     def run_state(label, args):
@@ -85,11 +85,10 @@ def state_machine(f: Facet, name: str, states) -> Callable:
     def goto(label, *args):
         if label not in table:
             raise UnknownLabel("%s has no state %r" % (name, label))
-        want = arity[label]
-        if want is not None and want != len(args):
-            raise ArityMismatch(
-                "%s: goto %r with %d args, state takes %d" % (name, label, len(args), want)
-            )
+        try:
+            signatures[label].bind(None, *args)  # None stands for the state facet
+        except TypeError as e:
+            raise ArityMismatch("%s: goto %r with %d args: %s" % (name, label, len(args), e)) from None
         current["facet"].stop(lambda _pf: run_state(label, args))
 
     run_state(states[0][0], ())

@@ -42,7 +42,6 @@ FULFILLED = sym("fulfilled")
 CANCELED = sym("canceled")
 INSUFFICIENT_FUNDS = sym("insufficient-funds")
 NO_PRICE_MATCH = sym("no-price-match")
-ANSWERS = (CANCELED, INSUFFICIENT_FUNDS, NO_PRICE_MATCH, FULFILLED)
 
 TRADING_DAY_OPEN = rec("trading-day-open")
 
@@ -602,7 +601,9 @@ def build_scenario(config: ScenarioConfig, trace_sink=None) -> ScenarioResult:
 
 def run_scenario(config: ScenarioConfig, script: list, trace_sink=None) -> ScenarioResult:
     """Run a scenario script to completion; raises ScenarioError on a failed
-    script assertion, reporting the turn number."""
+    script assertion, reporting the turn number. The queue runs to quiescence
+    before each assert-balance and assert-order-result step and after the
+    last step, so each check, and the result, sees every order placed before it."""
     result = build_scenario(config, trace_sink)
     ds, bank, buyers = result.ds, result.bank, result.buyers
     ds.run_until_quiescent()
@@ -623,15 +624,18 @@ def run_scenario(config: ScenarioConfig, script: list, trace_sink=None) -> Scena
         elif kind == "expect-quiescent":
             ds.run_until_quiescent()
         elif kind == "assert-balance":
+            ds.run_until_quiescent()
             _, acct, want = step
             got = bank.balances.get(acct)
             if got != want:
                 fail("balance of %s is %r, expected %r" % (render(acct), got, want))
         elif kind == "assert-order-result":
+            ds.run_until_quiescent()
             _, ref, want = step
             got = result.order_outcomes.get(ref)
             if got != want:
                 fail("order %s resolved %r, expected %r" % (ref, got, want))
         else:
             fail("unknown step %r" % (step,))
+    ds.run_until_quiescent()
     return result

@@ -17,10 +17,6 @@ class MalformedPatternEncoding(ValueError):
     pass
 
 
-class UnboundCapture(KeyError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Values
 
@@ -323,27 +319,6 @@ def _sequence_test(n: int, checks: tuple):
         return True
 
     return test
-
-
-def instantiate(p: Pattern, b: dict) -> Pattern:
-    """Replace each capture by the literal (see lit) it is bound to; keep
-    wildcards."""
-    compile_test(p)  # refuses a malformed hole
-    return _substitute(p, b)
-
-
-def _substitute(p: Pattern, b: dict) -> Pattern:
-    cls = p.__class__
-    if cls is Record:
-        if p.label == CAPTURE_LABEL:
-            name = p.fields[0].s
-            if name not in b:
-                raise UnboundCapture(name)
-            return lit(b[name])
-        return Record(p.label, tuple(_substitute(f, b) for f in p.fields))
-    if cls is Sequence:
-        return Sequence(tuple(_substitute(i, b) for i in p.items))
-    return p
 
 
 def observe(p: Pattern) -> Record:

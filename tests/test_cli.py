@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from facetspace import expansions, rec
 from facetspace.cli import main
 
 HAPPY = """
@@ -106,3 +107,17 @@ def test_expand_check(capsys):
     assert main(["expand-check", "--form", "state-machine"]) == 0
     out = capsys.readouterr().out
     assert out.count("ok") == 6
+
+
+def test_expand_check_reports_a_mismatch(monkeypatch, capsys):
+    # an expansion that never stops its children differs from during once
+    # a value is retracted
+    def leaky_boot(f):
+        f.on_asserted(expansions.ITEM, lambda hf, b: hf.react(lambda cf: cf.publish(rec("seen", b["x"]))))
+        f.on_retracted(expansions.ITEM, lambda hf, b: None)
+
+    form_boot, _expanded, schedules, puppet = expansions.FORMS["during"]
+    monkeypatch.setitem(expansions.FORMS, "during", (form_boot, leaky_boot, schedules, puppet))
+    assert main(["expand-check", "--form", "during"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "during schedule 1: ok", "during schedule 2: MISMATCH", "during schedule 3: MISMATCH"]

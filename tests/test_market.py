@@ -281,6 +281,15 @@ def test_failed_order_result_assertion():
         run_scenario(default_config("simple"), script)
 
 
+@pytest.mark.parametrize("text", ["(place b1 o1 3 40)", "(place b1 o1 3 40)(assert-balance a1 880)"],
+                         ids=["last-step", "before-an-assertion"])
+def test_an_order_placed_just_before_a_check_is_run_to_its_outcome(text):
+    # run_scenario runs the queue to quiescence before each assertion and
+    # after the last step, so neither check nor result misses the order
+    r = run_scenario(default_config("simple"), parse_script(parse_all(text)))
+    assert r.order_outcomes == {"o1": "fulfilled"} and r.final_balances["a1"] == 880
+
+
 def test_unknown_buyer_rejected():
     for step in ["(place zz o1 5 50)", "(cancel zz o1)"]:
         with pytest.raises(ScenarioError, match="unknown buyer zz"):

@@ -26,7 +26,6 @@ from facetspace.values import (
     Sequence,
     Symbol,
     Text,
-    UnboundCapture,
     Unique,
     WILDCARD,
     cap,
@@ -34,7 +33,6 @@ from facetspace.values import (
     check_linear,
     check_value,
     compile_test,
-    instantiate,
     lit,
     match,
     message_interest,
@@ -261,8 +259,6 @@ def test_compile_test_refuses_malformed_holes():
                 compile_test(p)
             with pytest.raises(MalformedPatternEncoding):
                 match(p, rec("price", 40, 1))
-            with pytest.raises(MalformedPatternEncoding):
-                instantiate(p, {})
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +362,6 @@ def test_capture_names_and_linearity():
     check_linear(p)
     with pytest.raises(ValueError):
         check_linear(rpat("f", cap("x"), cap("x")))
-
-
-def test_instantiate():
-    p = rpat("f", cap("x"), WILDCARD)
-    q = instantiate(p, {"x": Integer(3)})
-    assert q == rpat("f", lit(3), WILDCARD)
-    assert match(q, rec("f", 3, 99)) == {}
-    assert match(q, rec("f", 4, 99)) is None
-    with pytest.raises(UnboundCapture):
-        instantiate(p, {})
-    # a bound value is substituted through lit: one holding a hole is refused
-    assert instantiate(rpat("f", cap("x")), {"x": 3}) == rec("f", 3)
-    with pytest.raises(ValueError, match="wildcard or capture"):
-        instantiate(p, {"x": cap("y")})
 
 
 # Atoms that share a hash: Integer(1), Decimal(1.0) and Boolean(True) are
@@ -498,16 +480,11 @@ def test_compiled_pattern_round_trips_through_pickle():
     assert [match(q, v) for v in values] == want == [{"x": Integer(1), "y": Integer(4)}, None, None]
 
 
-_ground_values = _values().filter(lambda v: not _holds_reserved(v))
-
-
-@given(_ground_values, _ground_values)
-def test_instantiate_then_match_recovers_bindings(a, b):
+@given(_values(_labels), _values(_labels))
+def test_match_recovers_bindings(a, b):
+    # a capture binds whatever value it meets, one holding a hole record too
     p = rpat("pair", cap("x"), cap("y"))
-    v = rec("pair", a, b)
-    assert match(p, v) == {"x": a, "y": b}
-    full = instantiate(p, {"x": a, "y": b})
-    assert match(full, v) == {}
+    assert match(p, rec("pair", a, b)) == {"x": a, "y": b}
 
 
 # ---------------------------------------------------------------------------
