@@ -15,6 +15,7 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Optional
 
 from .dataspace import (
+    MAX_TRACED_DEPTH,
     Assert,
     BootEvent,
     Message,
@@ -28,6 +29,7 @@ from .values import (
     Pattern,
     PatternIndex,
     check_linear,
+    check_value,
     match,
     message_interest,
     observe,
@@ -86,12 +88,18 @@ class AssertEndpoint:
         self.read_fields = set()
 
     def evaluate(self):
+        """The value compute gives now; one the trace could not hold raises
+        ValueError (see check_value) in the body that publishes it."""
         actor = self.facet.actor
         self.drop_reads()
         prev = actor._evaluating
         actor._evaluating = self
         try:
-            value = to_value(self.compute())
+            value = check_value(to_value(self.compute()), MAX_TRACED_DEPTH)
+        except Exception:
+            # the body may catch this: no field the compute read may wake the endpoint
+            self.drop_reads()
+            raise
         finally:
             actor._evaluating = prev
         self.recompute_count += 1
@@ -191,7 +199,9 @@ class Facet:
         self.actor.stop_facet(self, continuation)
 
     def send(self, v):
-        self.actor.actions.append(Message(to_value(v)))
+        """Queue message v; a value the trace could not hold raises
+        ValueError (see check_value) here, and queues nothing."""
+        self.actor.actions.append(Message(check_value(to_value(v), MAX_TRACED_DEPTH)))
 
     def spawn(self, boot: Callable):
         self.actor.actions.append(Spawn(boot))

@@ -132,7 +132,13 @@ def query_map(f: Facet, pattern: Pattern, key_name: str, val_name: str) -> Field
 
 def on_timeout(f: Facet, delay_ms: int, body: Callable):
     """Run body(f) once, ``delay_ms`` of (virtual or wall) time after this
-    facet starts. Relies on the timer driver's assertion protocol."""
+    facet starts. Relies on the timer driver's assertion protocol. Raises
+    TypeError for a delay_ms that is not an int (a bool included), and
+    ValueError for one that is not positive: the driver would ignore it."""
+    if isinstance(delay_ms, bool) or not isinstance(delay_ms, int):
+        raise TypeError("delay_ms must be an int, got %r" % (delay_ms,))
+    if delay_ms <= 0:
+        raise ValueError("delay_ms must be positive, got %d" % delay_ms)
     tid = f.unique()
     f.publish(rec("set-timer", tid, delay_ms))
     fired = [False]

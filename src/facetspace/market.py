@@ -43,7 +43,16 @@ CANCELED = sym("canceled")
 INSUFFICIENT_FUNDS = sym("insufficient-funds")
 NO_PRICE_MATCH = sym("no-price-match")
 
-TRADING_DAY_OPEN = rec("trading-day-open")
+# Patterns and records that depend on no event are built once, here or in
+# an actor's boot factory, so each keeps its compiled test, hash, text and
+# check for as long as it is used, and a body that runs every trading day or
+# every order builds none of them again.
+TRADING_DAY_OPEN = rec("trading-day-open")  # the clock's assertion, and the pattern of a day
+WITHDRAW_FUNDS = rpat("withdraw-funds", cap("id"), cap("acct"), cap("amt"))
+DEPOSIT_FUNDS = rpat("deposit-funds", cap("id"), cap("acct"), cap("amt"))
+ANY_PRICE = rpat("price", cap("actual"))
+SELLER_PRICES = rpat("price", cap("seller"), cap("actual"))
+BROKER_FEES = rpat("broker-fee", cap("b"), cap("fee"))
 
 
 def _sym(x):
@@ -104,7 +113,7 @@ def bank_boot(handle: BankHandle):
     when a named broker's fee exceeds what the order saved.
     """
 
-    def transaction(tf, label, sign, checked):
+    def transaction(tf, pattern, sign, checked):
         def body(cf, b):
             tid, acct, amt = b["id"], b["acct"], b["amt"].n
             ok = handle.processed.get(tid)
@@ -115,14 +124,14 @@ def bank_boot(handle: BankHandle):
                 handle.processed[tid] = ok
             cf.publish(rec("bank-response", tid, ok))
 
-        during(tf, rpat(label, cap("id"), cap("acct"), cap("amt")), body)
+        during(tf, pattern, body)
 
     def boot(f):
         def open_body(tf, _b):
-            transaction(tf, "withdraw-funds", -1, True)
-            transaction(tf, "deposit-funds", 1, False)
+            transaction(tf, WITHDRAW_FUNDS, -1, True)
+            transaction(tf, DEPOSIT_FUNDS, 1, False)
 
-        during(f, rpat("trading-day-open"), open_body)
+        during(f, TRADING_DAY_OPEN, open_body)
 
     return boot
 
@@ -156,17 +165,19 @@ def deposit_back(f, acct: Value, amt):
 def seller_boot(desired, name=None):
     """Anonymous seller when name is None; named (extended) seller otherwise."""
     who = _names(name)
+    advert = rec("price", *who, desired)
+    requests = rpat("purchase-request", cap("id"), *who, cap("count"), cap("offered"))
 
     def boot(f):
         def open_body(tf, _b):
-            tf.publish(rec("price", *who, desired))
+            tf.publish(advert)
 
             def respond(cf, b):
                 cf.publish(rec("purchase-result", b["id"], *who, b["offered"].n >= desired))
 
-            during(tf, rpat("purchase-request", cap("id"), *who, cap("count"), cap("offered")), respond)
+            during(tf, requests, respond)
 
-        during(f, rpat("trading-day-open"), open_body)
+        during(f, TRADING_DAY_OPEN, open_body)
 
     return boot
 
@@ -244,19 +255,21 @@ def broker_boot(name=None, fee=0, wait_period: int = 100):
     Named (extended) broker otherwise: advertises its fee and buys from the
     cheapest seller after a ``wait_period`` collection window."""
     who = _names(name)
+    advert = rec("broker-fee", *who, fee)
+    orders = rpat("order", *who, cap("id"), cap("acct"), cap("n"), cap("maxp"))
 
     def boot(f):
         def open_body(tf, _b):
             if who:
-                tf.publish(rec("broker-fee", *who, fee))
+                tf.publish(advert)
 
             def on_order(hf, b):
                 the_order = rec("order", *who, b["id"], b["acct"], b["n"], b["maxp"])
                 hf.react(lambda of: _work_on_one_order(of, the_order, who, b, fee, wait_period))
 
-            tf.on_asserted(rpat("order", *who, cap("id"), cap("acct"), cap("n"), cap("maxp")), on_order)
+            tf.on_asserted(orders, on_order)
 
-        during(f, rpat("trading-day-open"), open_body)
+        during(f, TRADING_DAY_OPEN, open_body)
 
     return boot
 
@@ -298,11 +311,11 @@ def _work_on_one_order(of, the_order, who, b, fee, wait_period):
     # purchase (criterion 5). A cancel once funded is answered here; the
     # wallet returns the held funds when it sees the canceled order-result.
     def take_first_price(sf):
-        sf.on_asserted(rpat("price", cap("actual")), lambda hf, b: buy_within_max((None, b["actual"])))
+        sf.on_asserted(ANY_PRICE, lambda hf, b: buy_within_max((None, b["actual"])))
         sf.on_retracted(lit(the_order), lambda hf, _b: stop_with(CANCELED))
 
     def select_cheapest(sf):
-        sellers = query_map(sf, rpat("price", cap("seller"), cap("actual")), "seller", "actual")
+        sellers = query_map(sf, SELLER_PRICES, "seller", "actual")
         sf.on_retracted(lit(the_order), lambda hf, _b: stop_with(CANCELED))
         on_timeout(sf, wait_period, lambda hf: buy_within_max(_cheapest(sellers())))
 
@@ -372,7 +385,7 @@ def scripted_buyer_boot(handle: BuyerHandle, extended: bool = False, wait_period
                 def selection_body(self_):
                     # a cancel before a broker is chosen ends the choosing here
                     order_facets[ref] = self_
-                    fees = query_map(self_, rpat("broker-fee", cap("b"), cap("fee")), "b", "fee")
+                    fees = query_map(self_, BROKER_FEES, "b", "fee")
 
                     def decide(hf2):
                         best = _cheapest(fees())

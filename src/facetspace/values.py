@@ -22,10 +22,11 @@ class MalformedPatternEncoding(ValueError):
 
 class _Value:
     """Slotted base of the value classes. Its slots cache the value's hash,
-    its canonical text, and, for a value used as a pattern, its compiled
-    test, capture paths and constants (see compile_test); dataclass fields,
+    its canonical text, for a checked record or sequence its height (see
+    check_value), and, for a value used as a pattern, its compiled test,
+    capture paths and constants (see compile_test); dataclass fields,
     equality and pickle state never see them."""
-    __slots__ = ("_hash", "_text", "_test", "_captures", "_consts")
+    __slots__ = ("_hash", "_text", "_height", "_test", "_captures", "_consts")
 
 
 def _value_hash(self) -> int:
@@ -489,12 +490,17 @@ def check_value(v, limit: int = MAX_DEPTH) -> Value:
     type (see _ATOM_FIELDS) and no Decimal NaN, each record label a Symbol,
     fields and items tuples of values, records and sequences nested at
     most `limit` deep (the text syntax reads MAX_DEPTH). Raise ValueError
-    otherwise. The walk stops at the limit, so it cannot exhaust the stack."""
+    otherwise. The walk stops at the limit, so it cannot exhaust the stack.
+    A record or sequence whose walk succeeded keeps its height, the records
+    and sequences on its longest path, in its ``_height`` slot: values are
+    frozen, so a value checked again costs one read of that slot."""
     _check_nodes(v, limit, limit)
     return v
 
 
-def _check_nodes(v, room: int, limit: int):
+def _check_nodes(v, room: int, limit: int) -> int:
+    """The height of v, which must be at most room; limit names the bound
+    in the error."""
     cls = v.__class__
     atom = _ATOM_FIELDS.get(cls)
     if atom is not None:
@@ -504,22 +510,31 @@ def _check_nodes(v, room: int, limit: int):
             raise ValueError("%s.%s is %s, not %s" % (cls.__name__, name, type(x).__name__, typ.__name__))
         if x != x:
             raise ValueError("NaN is not a value: it equals nothing, so it could never be retracted")
-        return
-    if cls is Record:
-        if v.label.__class__ is not Symbol:
-            raise ValueError("record label is %s, not a Symbol" % type(v.label).__name__)
-        _check_nodes(v.label, room, limit)
-        kids = v.fields
-    elif cls is Sequence:
-        kids = v.items
-    else:
+        return 0
+    if cls is not Record and cls is not Sequence:
         raise ValueError("%s is not a value" % cls.__name__)
-    if kids.__class__ is not tuple:
-        raise ValueError("%s holds a %s, not a tuple" % (cls.__name__, type(kids).__name__))
-    if not room:
+    h = getattr(v, "_height", None)  # no exception to build on the first check
+    if h is None:
+        if cls is Record:
+            if v.label.__class__ is not Symbol:
+                raise ValueError("record label is %s, not a Symbol" % type(v.label).__name__)
+            _check_nodes(v.label, room, limit)
+            kids = v.fields
+        else:
+            kids = v.items
+        if kids.__class__ is not tuple:
+            raise ValueError("%s holds a %s, not a tuple" % (cls.__name__, type(kids).__name__))
+        if room:
+            h = 0
+            for k in kids:
+                hk = _check_nodes(k, room - 1, limit)
+                if hk > h:
+                    h = hk
+            h += 1
+            object.__setattr__(v, "_height", h)  # only once every node below passed
+    if h is None or h > room:
         raise ValueError("nesting deeper than %d levels" % limit)
-    for k in kids:
-        _check_nodes(k, room - 1, limit)
+    return h
 
 
 def _read_quoted(text: str, i: int, what: str):

@@ -20,8 +20,10 @@ from conftest import (
     spawn_bystanders,
     spawn_counted,
 )
-from facetspace import Dataspace, cap, lit, rec, rpat
+from facetspace import Dataspace, Record, cap, lit, rec, rpat, sym, values
 from facetspace.dataspace import Assert, BootEvent, MessageEvent, Quit
+from facetspace.drivers import advance_virtual_time
+from facetspace.market import build_scenario, default_config
 from facetspace.values import message_interest, observe
 
 FEW, MANY = 10, 200
@@ -184,3 +186,31 @@ def test_a_broadcast_tests_about_as_many_candidates_as_it_has_hearers():
     few, many = _visits(FEW)["broadcast"], _visits(MANY)["broadcast"]
     assert many == few
     assert HEARERS <= few <= 2 * HEARERS
+
+
+DAYS = 10
+
+
+def test_an_idle_market_compiles_no_more_patterns_than_it_sets_timers(monkeypatch):
+    # each trading day stops and restarts the bank's, sellers' and brokers'
+    # day facets: the patterns they install there depend on no event, so
+    # only each timer's (timer-expired id) pattern should be compiled anew
+    ds = build_scenario(default_config(
+        "extended", open_ms=150, closed_ms=50,
+        sellers={"s1": 40, "s2": 55, "s3": 45}, brokers={"k1": 0, "k2": 5, "k3": 2},
+    )).ds
+    ds.run_until_quiescent()
+    compiled, real = [], values._compile
+
+    def counted(p, path, caps, consts):
+        if not path:  # the whole pattern, not one of its nodes
+            compiled.append(p)
+        return real(p, path, caps, consts)
+
+    monkeypatch.setattr(values, "_compile", counted)
+    start = len(ds.trace)
+    advance_virtual_time(ds, 200 * DAYS)
+    timers = [a.v for t in ds.trace[start:] for a in t.actions
+              if isinstance(a, Assert) and a.v.__class__ is Record and a.v.label == sym("set-timer")]
+    assert len(timers) == 2 * DAYS
+    assert len(compiled) <= len(timers)

@@ -37,6 +37,43 @@ def test_publish_constant():
     assert r.events == [("+", rec("price", 40))]
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda f, n: f.publish(rec("x", Integer(True))),
+        lambda f, n: f.publish(lambda: rec("x", Integer(True), n())),
+        lambda f, n: f.send(rec("x", Integer(True))),
+    ],
+    ids=["publish", "publish-computed", "send"],
+)
+def test_a_body_may_catch_the_error_of_a_malformed_value_it_makes(make):
+    ds = Dataspace()
+    r = spawn_recorder(ds, rpat("x", cap("v")), messages=True)
+    caught = []
+
+    def boot(f):
+        n = f.field(0)
+        try:
+            make(f, n)
+        except ValueError as e:
+            caught.append(str(e))
+
+        def poke(hf, _b):
+            n(1)  # the failed publish read n, yet must not be re-published
+            hf.publish(rec("poked"))
+
+        f.on_message(rpat("poke"), poke)
+
+    aid = ds.spawn(boot)
+    quiesce(ds)
+    assert caught == ["Integer.n is bool, not int"]
+    assert ds.is_alive(aid) and not any(t.crashed for t in ds.trace)
+    assert r.events == []  # nothing published or sent
+    ds.inject_message(rec("poke"))
+    quiesce(ds)
+    assert ds.query(rpat("poked")) == [rec("poked")]
+
+
 def test_stop_actor_from_handler_runs_stop_handlers():
     ds = Dataspace()
     order = []

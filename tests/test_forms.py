@@ -343,6 +343,26 @@ def test_on_timeout_fires_once_after_delay():
     assert fired == [100]
 
 
+@pytest.mark.parametrize(
+    "delay, error", [(0, ValueError), (-3, ValueError), (2.5, TypeError), (True, TypeError)]
+)
+def test_on_timeout_refuses_a_delay_the_driver_would_ignore(delay, error):
+    # the driver ignores such a (set-timer id delay), so the body would never run
+    ds = Dataspace()
+    spawn_timer_driver(ds, Clock("virtual"))
+    booted = []
+
+    def boot(f):
+        with pytest.raises(error):
+            on_timeout(f, delay, lambda hf: None)
+        booted.append(True)
+
+    ds.spawn(boot)
+    quiesce(ds)
+    assert booted == [True]
+    assert ds.query(rpat("set-timer", cap("id"), cap("delay"))) == []
+
+
 def test_on_timeout_canceled_by_facet_stop():
     ds = Dataspace()
     spawn_timer_driver(ds, Clock("virtual"))

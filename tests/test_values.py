@@ -164,6 +164,52 @@ def test_check_value_refuses_malformed_values():
     assert check_value(rec("a", 1, Sequence((Text("t"),)))) == rec("a", 1, Sequence((Text("t"),)))
 
 
+def _deep(height, leaf=Integer(1)):
+    """leaf under `height` nested records, and the records from the top down."""
+    chain = []
+    for _ in range(height):
+        leaf = rec("a", leaf)
+        chain.append(leaf)
+    return leaf, chain[::-1]
+
+
+def test_a_checked_value_is_held_to_each_later_limit():
+    v, _chain = _deep(60)
+    assert check_value(v, limit=100) is v
+    assert v._height == 60
+    with pytest.raises(ValueError, match="nesting deeper than 50 levels"):
+        check_value(v, limit=50)
+    with pytest.raises(ValueError, match="nesting deeper than 59 levels"):
+        check_value(v, limit=59)
+    with pytest.raises(ValueError, match="nesting deeper than 60 levels"):
+        check_value(rec("b", v), limit=60)  # v's own height, one level down
+    assert check_value(v, limit=60) is v
+
+
+def test_a_malformed_value_raises_on_every_check_and_keeps_no_height():
+    ok = rec("ok", 1)
+    v, chain = _deep(5, Sequence((ok, rec("b", Integer(True)))))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="Integer.n is bool, not int"):
+            check_value(v)
+    for node in chain + [chain[-1].fields[0], chain[-1].fields[0].items[1]]:
+        assert getattr(node, "_height", None) is None
+    assert ok._height == 1  # a well-formed subtree walked before the bad atom keeps its own
+
+
+def test_a_value_checked_again_visits_no_child_node(monkeypatch):
+    from facetspace import values
+
+    visits, real = [], values._check_nodes
+    monkeypatch.setattr(values, "_check_nodes", lambda v, *args: visits.append(v) or real(v, *args))
+    v = rec("order", sym("k1"), Unique(7), sym("a1"), 3, Sequence((Text("x"), rec("y", 2.5))))
+    check_value(v)
+    assert len(visits) == 11  # the label of each record is a node too
+    visits.clear()
+    assert check_value(v) is v
+    assert check_value(rec("wrapper", v)) and visits == [v, rec("wrapper", v), Symbol("wrapper"), v]
+
+
 def test_parse_all_with_comments():
     got = parse_all("; header\n(a 1) (b 2) ; trailing\n[3]")
     assert got == [rec("a", 1), rec("b", 2), Sequence((Integer(3),))]
@@ -304,7 +350,8 @@ def test_values_refuse_assignment():
     v = rec("price", 40)
     hash(v)
     render(v)
-    for name in ("label", "fields", "_hash", "_text"):
+    check_value(v)
+    for name in ("label", "fields", "_hash", "_text", "_height"):
         with pytest.raises(FrozenInstanceError):
             setattr(v, name, Integer(1))
         with pytest.raises(FrozenInstanceError):
@@ -326,6 +373,17 @@ def test_cached_text_agrees_with_a_fresh_equal_value(v, render_original_first):
     assert w == v
     assert render(second) == t
     assert render(first) is t
+
+
+def test_a_values_height_is_no_part_of_it():
+    v, w = rec("price", 40, Sequence((Text("x"),))), rec("price", 40, Sequence((Text("x"),)))
+    check_value(v)
+    assert v._height == 2 and getattr(w, "_height", None) is None
+    assert v == w and hash(v) == hash(w) and {v: 1}[w] == 1
+    assert [f.name for f in fields(v)] == ["label", "fields"]
+    u = pickle.loads(pickle.dumps(v))
+    assert getattr(u, "_height", None) is None  # not pickle state: the copy is checked again
+    assert check_value(u) is u and u._height == 2
 
 
 def test_unpickled_value_renders_the_same():
