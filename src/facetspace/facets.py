@@ -119,7 +119,11 @@ class HandlerEndpoint:
 
 class Facet:
     """One node of an actor's behavior tree; also the context object handed
-    to bodies and handlers."""
+    to bodies and handlers. Facets are slotted: a body keeps its state in
+    fields or closures, not in attributes of its facet."""
+
+    __slots__ = ("actor", "id", "parent", "children", "endpoints", "start_handlers", "stop_handlers",
+                 "alive", "stopping", "_next_child", "__weakref__")
 
     def __init__(self, actor, fid, parent):
         self.actor = actor
@@ -130,6 +134,7 @@ class Facet:
         self.start_handlers = []  # None once the facet has started
         self.stop_handlers = []
         self.alive = True
+        self.stopping = False  # True once its stop handlers have begun to run
         self._next_child = 0
 
     # -- endpoint installation ----------------------------------------------
@@ -284,6 +289,8 @@ class Actor:
     def _refresh(self):
         """Recompute dirty assertions in tree order, as dispatch runs
         handlers; emit a retract/assert pair for each that changed."""
+        if not self._dirty:
+            return
         dirty, self._dirty = self._dirty, set()
         for ep in sorted(dirty, key=attrgetter("order")):
             # marked dirty earlier in a turn in which its facet then stopped
@@ -295,14 +302,28 @@ class Actor:
                 ep.current = new
 
     def stop_facet(self, facet: Facet, continuation: Optional[Callable] = None):
+        """Run the subtree's stop handlers children first, retract its
+        endpoints children first, then run the continuation in the parent.
+        Each facet's stop runs once: a stop of a facet whose stop has begun,
+        by a stop handler of its own or of a descendant, is a no-op, as is a
+        stop of a dead facet, and a stop whose facet a stop handler tore down
+        meanwhile (by stopping an ancestor) ends there; in each case the
+        continuation does not run."""
         if not facet.alive:
             log.warning("actor %d: stop of dead facet %r is a no-op", self.aid, facet.id)
             return
+        if facet.stopping:
+            log.warning("actor %d: stop of facet %r, whose stop is running, is a no-op", self.aid, facet.id)
+            return
 
         def run_stop_handlers(f):
+            f.stopping = True
             for c in list(f.children):
-                run_stop_handlers(c)
+                if not c.stopping:  # a sibling's stop handler may have stopped it
+                    run_stop_handlers(c)
             for h in f.stop_handlers:
+                if not f.alive:  # torn down by a stop one of its handlers began
+                    break
                 self._run_body(f, h)
 
         def teardown(f):
@@ -319,6 +340,8 @@ class Actor:
             f.endpoints = []
 
         run_stop_handlers(facet)
+        if not facet.alive:
+            return
         teardown(facet)
         if facet.parent is not None:
             facet.parent.children.remove(facet)

@@ -24,9 +24,10 @@ class _Value:
     """Slotted base of the value classes. Its slots cache the value's hash,
     its canonical text, for a checked record or sequence its height (see
     check_value), and, for a value used as a pattern, its compiled test,
-    capture paths and constants (see compile_test); dataclass fields,
-    equality and pickle state never see them."""
-    __slots__ = ("_hash", "_text", "_height", "_test", "_captures", "_consts")
+    capture paths and constants (see compile_test) and its two interest
+    records (see observe and message_interest); dataclass fields, equality
+    and pickle state never see them."""
+    __slots__ = ("_hash", "_text", "_height", "_test", "_captures", "_consts", "_observe", "_message_interest")
 
 
 def _value_hash(self) -> int:
@@ -323,13 +324,27 @@ def _sequence_test(n: int, checks: tuple):
 
 
 def observe(p: Pattern) -> Record:
-    """The interest assertion for pattern p."""
-    return Record(OBSERVE, (p,))
+    """The interest assertion for pattern p, (observe p): one record per
+    pattern object, built on the first call and kept in p's ``_observe``
+    slot, so an endpoint that installs p again asserts the identical value,
+    its hash, text and height already cached. Values are frozen, so sharing
+    the record is sound. p and its record refer to each other: the cyclic
+    garbage collector frees the pair."""
+    o = getattr(p, "_observe", None)  # no exception to build on the first call
+    if o is None:
+        o = Record(OBSERVE, (p,))
+        object.__setattr__(p, "_observe", o)
+    return o
 
 
 def message_interest(p: Pattern) -> Record:
-    """The interest assertion for messages matching p."""
-    return Record(OBSERVE, (Record(MESSAGE, (p,)),))
+    """The interest assertion for messages matching p, (observe (message
+    p)), kept in p's ``_message_interest`` slot as observe keeps its own."""
+    o = getattr(p, "_message_interest", None)
+    if o is None:
+        o = Record(OBSERVE, (Record(MESSAGE, (p,)),))
+        object.__setattr__(p, "_message_interest", o)
+    return o
 
 
 def index_key(v: Value):

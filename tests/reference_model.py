@@ -214,6 +214,7 @@ class ModelFacet:
         self.children, self.endpoints = [], []
         self.start_handlers, self.stop_handlers = [], []  # start_handlers is None once started
         self.alive = True
+        self.stopping = False  # once its stop handlers have begun
 
     def _live(self):
         if not self.alive:
@@ -349,10 +350,16 @@ class ModelActor:
     def stop_facet(self, facet, continuation=None):
         """Run the subtree's stop handlers children first, then retract its
         endpoints children first, then run the continuation in the parent;
-        a stopped root quits the actor or starts the continuation as root."""
-        if not facet.alive:
+        a stopped root quits the actor or starts the continuation as root.
+        A stop of a dead facet, or of one whose stop handlers have begun,
+        does nothing; a stop whose facet its own stop handlers tore down
+        (by stopping an ancestor) ends when they do. Neither runs the
+        continuation."""
+        if not facet.alive or facet.stopping:
             return
         self._run_stop_handlers(facet)
+        if not facet.alive:
+            return
         self._teardown(facet)
         if facet.parent is not None:
             facet.parent.children.remove(facet)
@@ -364,9 +371,14 @@ class ModelActor:
             self.start_root(continuation)
 
     def _run_stop_handlers(self, f):
+        """Each facet's once; a stop handler runs only while its facet lives."""
+        f.stopping = True
         for c in list(f.children):
-            self._run_stop_handlers(c)
+            if not c.stopping:
+                self._run_stop_handlers(c)
         for h in f.stop_handlers:
+            if not f.alive:
+                break
             self.run_body(f, h)
 
     def _teardown(self, f):

@@ -191,15 +191,22 @@ def test_a_broadcast_tests_about_as_many_candidates_as_it_has_hearers():
 DAYS = 10
 
 
-def test_an_idle_market_compiles_no_more_patterns_than_it_sets_timers(monkeypatch):
-    # each trading day stops and restarts the bank's, sellers' and brokers'
-    # day facets: the patterns they install there depend on no event, so
-    # only each timer's (timer-expired id) pattern should be compiled anew
+def _idle_market():
+    """An extended market of 3 sellers and 3 brokers, with 200 ms trading
+    days and no orders, run to quiescence."""
     ds = build_scenario(default_config(
         "extended", open_ms=150, closed_ms=50,
         sellers={"s1": 40, "s2": 55, "s3": 45}, brokers={"k1": 0, "k2": 5, "k3": 2},
     )).ds
     ds.run_until_quiescent()
+    return ds
+
+
+def test_an_idle_market_compiles_no_more_patterns_than_it_sets_timers(monkeypatch):
+    # each trading day stops and restarts the bank's, sellers' and brokers'
+    # day facets: the patterns they install there depend on no event, so
+    # only each timer's (timer-expired id) pattern should be compiled anew
+    ds = _idle_market()
     compiled, real = [], values._compile
 
     def counted(p, path, caps, consts):
@@ -214,3 +221,15 @@ def test_an_idle_market_compiles_no_more_patterns_than_it_sets_timers(monkeypatc
               if isinstance(a, Assert) and a.v.__class__ is Record and a.v.label == sym("set-timer")]
     assert len(timers) == 2 * DAYS
     assert len(compiled) <= len(timers)
+
+
+def test_an_idle_market_asserts_one_interest_object_per_interest_value():
+    # the day facets install the same pattern objects every day, and each
+    # pattern keeps its interest record: so an interest asserted again is
+    # the same object, with its hash, text and height cached. The trace
+    # keeps every asserted object alive, so ids cannot be reused
+    ds = _idle_market()
+    advance_virtual_time(ds, 200 * DAYS)
+    interests = [a.v for t in ds.trace for a in t.actions
+                 if isinstance(a, Assert) and a.v.__class__ is Record and a.v.label == sym("observe")]
+    assert len({id(v) for v in interests}) == len(set(interests))

@@ -18,7 +18,7 @@ from facetspace import WILDCARD, Dataspace, Integer, Record, Symbol, cap, lit, r
 from facetspace.dataspace import Assert, Quit
 from facetspace.drivers import advance_virtual_time, spawn_timer_driver
 from facetspace.forms import during, on_timeout, state_machine, stop_when
-from facetspace.values import compile_test, observe, spat, to_value
+from facetspace.values import compile_test, message_interest, observe, spat, to_value
 from facetspace.facets import DeadFieldAccess, render_tree
 from facetspace.market import bank_account_boot
 from golden_corpus import republish_boot
@@ -301,6 +301,86 @@ def test_stop_dead_facet_is_noop_with_warning(caplog):
     ds.spawn(boot)
     quiesce(ds)
     assert "no-op" in caplog.text
+
+
+def _play_go(ds_class, boot, ran):
+    """Spawn boot, inject (go), and run to quiescence after each; returns
+    whether the actor lives, the steps it appended to ran, what the bag
+    holds and the trace."""
+    ran.clear()
+    sink = io.StringIO()
+    ds = ds_class(trace_sink=sink)
+    aid = ds.spawn(boot)
+    quiesce(ds)
+    ds.inject_message(rec("go"))
+    quiesce(ds)
+    return ds.is_alive(aid), list(ran), ds.query(cap("v")), sink.getvalue()
+
+
+@pytest.mark.parametrize("stop_from", [
+    lambda lf, _mf: lf.stop(lambda pf: None),  # the leaf's own stop, running
+    lambda _lf, mf: mf.stop(lambda pf: None),  # its parent's stop, running
+], ids=["itself", "its-parent"])
+def test_a_stop_of_a_facet_whose_stop_is_running_is_a_noop_with_warning(stop_from, caplog):
+    # (go) stops mid, in root > mid > leaf; the leaf's stop handler calls
+    # stop_from(leaf, mid). At the parent each such stop ran the stop
+    # handlers again, without end, and the RecursionError crashed the actor
+    ran = []
+
+    def boot(f):
+        f.publish(rec("root"))
+
+        def mid(mf):
+            mf.publish(rec("mid"))
+            mf.on_stop(lambda sf: ran.append("mid stopped"))
+
+            def leaf(lf):
+                lf.publish(rec("leaf"))
+                lf.on_stop(lambda sf: (ran.append("leaf stopped"), stop_from(sf, mf)))
+                lf.on_stop(lambda sf: ran.append("leaf stopped again"))
+
+            mf.react(leaf)
+
+        m = f.react(mid)
+        f.on_message(rpat("go"), lambda hf, _b: m.stop(lambda pf: ran.append("continued")))
+
+    runtime = _play_go(Dataspace, boot, ran)
+    assert runtime[:3] == (True, ["leaf stopped", "leaf stopped again", "mid stopped", "continued"],
+                           [rec("root"), message_interest(rpat("go"))])
+    assert "whose stop is running, is a no-op" in caplog.text
+    with runtime_switched_off():
+        assert _play_go(ModelDataspace, boot, ran) == runtime
+
+
+def test_a_stop_handler_may_stop_a_sibling_or_the_parent_of_its_facet():
+    # a stop handler may stop a facet whose stop has not begun: here a
+    # sibling, and the parent of a facet stopped on its own, whose stop then
+    # ends with the parent's teardown: its later stop handler and its
+    # continuation do not run
+    ran = []
+
+    def boot(f):
+        def mid(mf):
+            mf.publish(rec("mid"))
+            mf.on_stop(lambda sf: ran.append("mid stopped"))
+            sibling = mf.react(lambda cf: (cf.publish(rec("sibling")),
+                                           cf.on_stop(lambda sf: ran.append("sibling stopped"))))
+
+            def leaf(lf):
+                lf.on_stop(lambda sf: (ran.append("leaf stopped"), sibling.stop()))
+                lf.on_stop(lambda sf: (ran.append("leaf stops mid"), mf.stop()))
+                lf.on_stop(lambda sf: ran.append("leaf stopped again"))
+                lf.on_message(rpat("go"), lambda hf, _b: lf.stop(lambda pf: ran.append("continued")))
+
+            mf.react(leaf)
+
+        f.publish(rec("root"))
+        f.react(mid)
+
+    runtime = _play_go(Dataspace, boot, ran)
+    assert runtime[:3] == (True, ["leaf stopped", "sibling stopped", "leaf stops mid", "mid stopped"], [rec("root")])
+    with runtime_switched_off():
+        assert _play_go(ModelDataspace, boot, ran) == runtime
 
 
 def test_an_endpoint_added_to_a_facet_stopped_earlier_in_the_turn_crashes_it(caplog):
@@ -772,15 +852,16 @@ def test_bank_account_example():
 # order. The watches hold their constant in the first field, in the second,
 # or hold no hole; a catch-all endpoint hears every message, a pair's one
 # handler writes two fields in the reverse of their assertions' tree order,
-# and a timeout installs its body once the virtual clock has advanced past
-# its delay.
+# a timeout installs its body once the virtual clock has advanced past its
+# delay, and a stop-self or stop-parent adds a stop handler that stops its
+# own facet, whose stop is then running, or that facet's parent.
 _key = st.integers(0, 1)
 _WATCHES = {
     "watch": lambda k: rpat("item", lit(k), cap("x")),
     "watch-last": lambda k: rpat("item", cap("x"), lit(k)),
     "watch-item": lambda k: lit(rec("item", k, 0)),
 }
-_leaf = st.tuples(st.sampled_from(["publish", *_WATCHES, "any", "pair"]), _key)
+_leaf = st.tuples(st.sampled_from(["publish", *_WATCHES, "any", "pair", "stop-self", "stop-parent"]), _key)
 
 
 def _op(body):
@@ -831,6 +912,12 @@ def _watch(install, item, word, k, ears):
     ears[ep] = Counter()
 
 
+def _stop_from_stop_handler(f, target, k):
+    """Add to f a stop handler that sends (stopping k) and stops target
+    with a continuation that sends (resumed k)."""
+    f.on_stop(lambda sf: (sf.send(rec("stopping", k)), target.stop(lambda pf: pf.send(rec("resumed", k)))))
+
+
 def _run(f, body, ears):
     """Install a program's ops in facet f; the watches count their hearings in ears."""
     for op in body:
@@ -853,6 +940,11 @@ def _run(f, body, ears):
             f.publish(lambda k=k, x=x: rec("first", k, x()))
             f.react(lambda cf, k=k, y=y: cf.publish(lambda: rec("second", k, y())))
             f.on_message(_hit(k), lambda hf, _b, x=x, y=y: (y(y() + 1), x(x() + 1)))
+        elif kind == "stop-self":
+            _stop_from_stop_handler(f, f, op[1])
+        elif kind == "stop-parent":
+            if f.parent is not None:
+                _stop_from_stop_handler(f, f.parent, op[1])
         elif kind == "react":
             f.react(_run, op[1], ears)
         elif kind == "stop":
@@ -915,6 +1007,15 @@ def _play_program(ds_class, program, inputs, after_turn=lambda ds, ears: None):
 # a pair in a child: one body writes y, then x, and (first 0 x) comes
 # before (second 0 y) in tree order; the root's (out 0 x) is bumped first
 @example([("react", [("pair", 0)]), ("publish", 0)], [rec("hit", 0, 1)])
+# the hit stops the child, whose first stop handler stops the root: the
+# child's stop ends with the root's teardown, so its second stop handler
+# and its continuation do not run; the root's continuation only sends, so
+# the actor quits
+@example([("react", [("stop-parent", 0), ("stop-self", 1), ("stop", 0, [("publish", 1)])]), ("publish", 0)],
+         [rec("hit", 0, 1)])
+# the root's stop handler stops the root again: a no-op, and the root's
+# continuation starts a fresh root that publishes
+@example([("stop-self", 0), ("stop", 1, [("publish", 0)])], [rec("hit", 1, 0)])
 def test_dispatch_matches_a_match_on_every_endpoint(program, inputs):
     """The model finds handlers by matching every endpoint of the tree and
     re-evaluates every assertion after every body; the runtime must write

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 import facetspace
 
 from conftest import reference_constants, reference_match
+from facetspace.dataspace import MAX_TRACED_DEPTH
 from facetspace.values import (
     MESSAGE,
     Boolean,
@@ -351,7 +352,7 @@ def test_values_refuse_assignment():
     hash(v)
     render(v)
     check_value(v)
-    for name in ("label", "fields", "_hash", "_text", "_height"):
+    for name in ("label", "fields", "_hash", "_text", "_height", "_observe", "_message_interest"):
         with pytest.raises(FrozenInstanceError):
             setattr(v, name, Integer(1))
         with pytest.raises(FrozenInstanceError):
@@ -391,6 +392,45 @@ def test_unpickled_value_renders_the_same():
     v = pickle.loads(pickle.dumps(_PICKLED))
     assert getattr(v, "_text", None) is None  # the cache is not pickle state
     assert render(v) == t
+
+
+# ---------------------------------------------------------------------------
+# interest records
+
+def test_a_patterns_interest_records_are_no_part_of_it():
+    p, q = rpat("price", cap("p")), rpat("price", cap("p"))
+    o, m = observe(p), message_interest(p)
+    assert p._observe is o and p._message_interest is m
+    assert getattr(q, "_observe", None) is None
+    assert p == q and hash(p) == hash(q) and {p: 1}[q] == 1
+    assert [f.name for f in fields(p)] == ["label", "fields"]
+    assert p.__getstate__() == [Symbol("price"), (cap("p"),)]
+    u = pickle.loads(pickle.dumps(p))
+    assert getattr(u, "_observe", None) is None and getattr(u, "_message_interest", None) is None
+    assert observe(u) == o and observe(u) is not o
+
+
+def test_a_pattern_keeps_one_interest_record_of_each_kind():
+    p, q = rpat("price", cap("p")), rpat("price", cap("p"))
+    assert observe(p) is observe(p) and message_interest(p) is message_interest(p)
+    assert observe(p) == observe(q) and observe(p) is not observe(q)
+    assert message_interest(p) == message_interest(q)
+    # either kind may be built first; the other is still its own record
+    for first, second in [(observe, message_interest), (message_interest, observe)]:
+        r = rpat("bid", cap("b"))
+        a, b = first(r), second(r)
+        assert a != b and first(r) is a and second(r) is b
+    assert render(message_interest(p)) == '(observe (message (price (capture "p"))))'
+
+
+def test_the_interest_of_a_pattern_too_deep_for_the_trace_fails_every_check():
+    p, _chain = _deep(MAX_TRACED_DEPTH)  # the trace holds p, not (observe p)
+    assert check_value(p, MAX_TRACED_DEPTH) is p
+    for interest in (observe, message_interest):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="nesting deeper than %d levels" % MAX_TRACED_DEPTH):
+                check_value(interest(p), MAX_TRACED_DEPTH)
+        assert getattr(interest(p), "_height", None) is None
 
 
 # ---------------------------------------------------------------------------
