@@ -156,10 +156,13 @@ class Facet:
         return self._add(ep)
 
     def _handler(self, kind, pattern, fn):
+        """Add a handler endpoint; a pattern whose interest record the trace
+        could not hold raises ValueError (see check_value) here."""
         self._require_alive()
         check_linear(pattern)
-        ep = self._add(HandlerEndpoint(self, kind, pattern, fn))
-        self.actor.handlers.add(ep, pattern)
+        ep = HandlerEndpoint(self, kind, pattern, fn)
+        check_value(ep.current, MAX_TRACED_DEPTH)
+        self.actor.handlers.add(self._add(ep), pattern)
         return ep
 
     def _add(self, ep):
@@ -167,8 +170,13 @@ class Facet:
         # endpoint order, meets it: endpoints are only ever appended
         ep.order = (self.id, len(self.endpoints))
         self.endpoints.append(ep)
-        self.actor.actions.append(Assert(ep.current))
+        if not self._doubles(ep):
+            self.actor.actions.append(Assert(ep.current))
         return ep
+
+    def _doubles(self, ep):
+        """Whether ep is a handler whose interest an earlier handler here holds: it adds no copy."""
+        return ep.kind and any(e.kind and e.current == ep.current for e in self.endpoints[:ep.order[1]])
 
     def on_asserted(self, pattern: Pattern, fn: Callable):
         return self._handler("asserted", pattern, fn)
@@ -335,7 +343,8 @@ class Actor:
                     ep.drop_reads()
                 else:
                     self.handlers.remove(ep, ep.pattern)
-                self.actions.append(Retract(ep.current))
+                if not f._doubles(ep):
+                    self.actions.append(Retract(ep.current))
             f.children = []
             f.endpoints = []
 

@@ -55,9 +55,12 @@ def during(f: Facet, pattern: Pattern, body: Callable):
 
 
 def stop_when(f: Facet, kind: str, pattern: Pattern, continuation: Optional[Callable] = None):
-    """Stop the enclosing facet on the first matching event."""
-    install = {"asserted": f.on_asserted, "retracted": f.on_retracted, "message": f.on_message}[kind]
-    install(pattern, lambda _hf, _b: f.stop(continuation))
+    """Stop the enclosing facet on the first matching event of kind
+    'asserted', 'retracted' or 'message'; any other kind raises ValueError."""
+    installs = {"asserted": f.on_asserted, "retracted": f.on_retracted, "message": f.on_message}
+    if kind not in installs:
+        raise ValueError("stop_when: kind %r is not one of %s" % (kind, ", ".join(map(repr, installs))))
+    installs[kind](pattern, lambda _hf, _b: f.stop(continuation))
 
 
 def state_machine(f: Facet, name: str, states) -> Callable:
@@ -66,7 +69,10 @@ def state_machine(f: Facet, name: str, states) -> Callable:
     ``states`` is an ordered list of (label, fn) pairs; the first is the
     initial state. Each fn is called as ``fn(state_facet, *args)``. Returns
     ``goto(label, *args)``, which replaces the live state facet wholesale.
+    No states, or two with one label, raise ValueError.
     """
+    if not states:
+        raise ValueError("state machine %r has no states: its first is its initial state" % name)
     table = dict(states)
     if len(table) != len(states):
         raise ValueError("duplicate state label in machine %r" % name)

@@ -202,7 +202,8 @@ class ModelField:
 
 class Endpoint:
     """One assertion, current, that a facet holds: published (kind None), or
-    the interest of a handler of one event kind. Hashed by identity."""
+    the interest of a handler of one event kind, which a facet holds once
+    however many of its handlers share it. Hashed by identity."""
 
     def __init__(self, **fields):
         self.__dict__.update(fields)
@@ -238,9 +239,11 @@ class ModelFacet:
         if len(names) != len(set(names)):
             raise ValueError("repeated capture in %r" % (pattern,))
         interest = message_interest(pattern) if kind == "message" else observe(pattern)
+        check_value(interest, TRACED_DEPTH)
         ep = Endpoint(facet=self, kind=kind, current=interest, pattern=pattern, fn=fn)
+        if not _held_by_a_handler(self.endpoints, interest):
+            self.actor.actions.append(Assert(interest))
         self.endpoints.append(ep)
-        self.actor.actions.append(Assert(interest))
         return ep
 
     on_asserted = partialmethod(_handler, "asserted")
@@ -276,6 +279,12 @@ class ModelFacet:
 
     def unique(self):
         return self.actor.ds.fresh_unique()
+
+
+def _held_by_a_handler(endpoints, interest):
+    """Whether one of these endpoints is a handler holding interest: a
+    facet asserts each interest once, however many of its handlers read it."""
+    return any(ep.kind is not None and ep.current == interest for ep in endpoints)
 
 
 def _tree(f):
@@ -385,5 +394,6 @@ class ModelActor:
         for c in f.children:
             self._teardown(c)
         f.alive = False
-        self.actions += [Retract(ep.current) for ep in f.endpoints]
+        self.actions += [Retract(ep.current) for i, ep in enumerate(f.endpoints)
+                         if ep.kind is None or not _held_by_a_handler(f.endpoints[:i], ep.current)]
         f.children, f.endpoints = [], []

@@ -14,8 +14,8 @@ from conftest import (
     runtime_switched_off,
     spawn_recorder,
 )
-from facetspace import WILDCARD, Dataspace, Integer, Record, Symbol, cap, lit, rec, rpat, sym
-from facetspace.dataspace import Assert, Quit
+from facetspace import WILDCARD, Dataspace, Integer, Record, Symbol, Text, cap, lit, rec, rpat, sym
+from facetspace.dataspace import MAX_TRACED_DEPTH, Assert, Quit
 from facetspace.drivers import advance_virtual_time, spawn_timer_driver
 from facetspace.forms import during, on_timeout, state_machine, stop_when
 from facetspace.values import compile_test, message_interest, observe, spat, to_value
@@ -72,6 +72,69 @@ def test_a_body_may_catch_the_error_of_a_malformed_value_it_makes(make):
     ds.inject_message(rec("poke"))
     quiesce(ds)
     assert ds.query(rpat("poked")) == [rec("poked")]
+
+
+def _nested(height):
+    """A pattern of records `height` deep: (d (d ... (capture "x")))."""
+    p = cap("x")
+    for _ in range(height - 1):
+        p = Record(sym("d"), (p,))
+    return p
+
+
+@pytest.mark.parametrize(
+    "install, pattern, message",
+    [
+        ("on_asserted", rpat("x", Record(Symbol("capture"), (Text(5),))), "Text.s is int, not str"),
+        ("on_asserted", _nested(MAX_TRACED_DEPTH), "nesting deeper than %d levels" % MAX_TRACED_DEPTH),
+        # (observe p) would fit the trace; (observe (message p)) is one level deeper
+        ("on_message", _nested(MAX_TRACED_DEPTH - 1), "nesting deeper than %d levels" % MAX_TRACED_DEPTH),
+    ],
+    ids=["malformed-capture", "too-deep", "too-deep-as-message-interest"],
+)
+def test_a_body_may_catch_the_error_of_a_handler_pattern_the_trace_could_not_hold(install, pattern, message):
+    # the install raises where the body can catch it, not at the end of the
+    # turn, where the whole actor would crash
+    ran = []
+
+    def boot(f):
+        try:
+            getattr(f, install)(pattern, lambda hf, _b: ran.append("heard"))
+        except ValueError as e:
+            ran.append(str(e))
+        f.on_message(rpat("go"), lambda hf, _b: ran.append("went"))
+
+    runtime = _play_go(Dataspace, boot, ran)
+    assert runtime[:3] == (True, [message, "went"], [message_interest(rpat("go"))])
+    with runtime_switched_off():
+        assert _play_go(ModelDataspace, boot, ran) == runtime
+
+
+def test_a_field_written_by_a_body_that_then_stops_its_facet_is_not_republished():
+    # the publish endpoint is dirty when the body ends, but its facet is
+    # dead: re-evaluating it would read a dead facet's field and crash
+    ran = []
+
+    def boot(f):
+        f.publish(rec("root"))
+
+        def child(cf):
+            n = cf.field(0)
+            cf.publish(lambda: rec("n", n()))
+
+            def go(hf, _b):
+                n(1)
+                hf.stop()
+                ran.append("stopped")
+
+            cf.on_message(rpat("go"), go)
+
+        f.react(child)
+
+    runtime = _play_go(Dataspace, boot, ran)
+    assert runtime[:3] == (True, ["stopped"], [rec("root")])
+    with runtime_switched_off():
+        assert _play_go(ModelDataspace, boot, ran) == runtime
 
 
 def test_stop_actor_from_handler_runs_stop_handlers():
@@ -1016,6 +1079,10 @@ def _play_program(ds_class, program, inputs, after_turn=lambda ds, ears: None):
 # the root's stop handler stops the root again: a no-op, and the root's
 # continuation starts a fresh root that publishes
 @example([("stop-self", 0), ("stop", 1, [("publish", 0)])], [rec("hit", 1, 0)])
+# a state facet holds (out 0 x), (hit 0 $s)'s interest, (out 0 x') and the
+# same interest again, held once: the hit restarts the state, whose teardown
+# retracts that interest once, at its first endpoint's place
+@example([("machine", 0, [[("publish", 0), ("publish", 0)]])], [rec("hit", 0, 1)])
 def test_dispatch_matches_a_match_on_every_endpoint(program, inputs):
     """The model finds handlers by matching every endpoint of the tree and
     re-evaluates every assertion after every body; the runtime must write
@@ -1025,27 +1092,31 @@ def test_dispatch_matches_a_match_on_every_endpoint(program, inputs):
         assert runtime == _play_program(ModelDataspace, program, inputs)
 
 
-def _live_endpoints(actor):
+def _live_facets(actor):
     todo = [actor.root] if actor.root is not None and actor.root.alive else []
     while todo:
         f = todo.pop()
-        yield from f.endpoints
+        yield f
         todo.extend(f.children)
 
 
 def _check_dataflow(ds, _ears):
     """Every live assertion endpoint holds what its computation gives now,
-    each actor holds in the bag exactly what its live endpoints hold, the
+    each actor holds in the bag exactly one copy per live publish endpoint
+    plus one per distinct interest of each live facet's handlers, the
     dataspace's interest index holds exactly the interests, and each actor's
     endpoint index exactly its live handler endpoints."""
     assert_index_matches_interests(ds)
     assert_endpoint_indexes_match_trees(ds)
     for aid, actor in ds.actors.items():
         held = Counter()
-        for ep in _live_endpoints(actor):
-            if ep.kind is None:
-                assert ep.current == to_value(ep.compute())
-            held[ep.current] += 1
+        for f in _live_facets(actor):
+            for ep in f.endpoints:
+                if ep.kind is None:
+                    assert ep.current == to_value(ep.compute())
+                    held[ep.current] += 1
+            for interest in {ep.current for ep in f.endpoints if ep.kind is not None}:
+                held[interest] += 1
         assert held == Counter({v: per[aid] for v, per in ds.bag.items() if aid in per})
 
 

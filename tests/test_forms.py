@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from conftest import drive_cmd, named_puppet_boot, spawn_recorder
 from facetspace import Dataspace, cap, expansions, forms, lit, rec, rpat, sym
+from facetspace.dataspace import Quit
 from facetspace.drivers import Clock, advance_virtual_time, spawn_timer_driver
 from facetspace.forms import (
     ArityMismatch,
@@ -361,6 +364,29 @@ def test_on_timeout_refuses_a_delay_the_driver_would_ignore(delay, error):
     quiesce(ds)
     assert booted == [True]
     assert ds.query(rpat("set-timer", cap("id"), cap("delay"))) == []
+
+
+@pytest.mark.parametrize(
+    "install, message",
+    [
+        (lambda f: state_machine(f, "m", []), "state machine 'm' has no states"),
+        (lambda f: stop_when(f, "asserted ", ITEM), "stop_when: kind 'asserted ' is not one of 'asserted'"),
+    ],
+    ids=["state-machine-with-no-states", "stop-when-of-an-unknown-kind"],
+)
+def test_a_derived_form_refuses_a_malformed_argument_by_name(install, message):
+    ds = Dataspace()
+    booted = []
+
+    def boot(f):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            install(f)
+        booted.append(True)
+
+    ds.spawn(boot)
+    quiesce(ds)
+    assert booted == [True]
+    assert [t.actions for t in ds.trace] == [[Quit()]]  # it installed nothing
 
 
 def test_on_timeout_canceled_by_facet_stop():
