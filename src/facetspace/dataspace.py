@@ -326,7 +326,8 @@ class Dataspace:
     # -- routing ------------------------------------------------------------
 
     def _patch_deliveries(self, patch: PatchEvent, actor=None, before=()) -> list:
-        """Per-actor filtered patch events for one turn's global patch.
+        """At most one patch event per actor, in ascending id, for one turn's
+        global patch.
 
         What each actor was told is what its patterns match in the bag, so
         routing keeps no record of it. Only `actor`, the one that acted, can
@@ -334,10 +335,10 @@ class Dataspace:
         holds them as the turn began (P0), `interests` as it ended (P1); any
         other actor's P0 is its P1. A removed value goes out when a P0 and a
         P1 pattern both match it, an added value when a P1 pattern (found in
-        the index) does. A gained pattern brings an initial patch, before the
-        regular one, of the present values, in bag order, that it matches,
-        that the turn did not add and that no P0 pattern matches. So a turn
-        with an empty patch and no gained pattern routes nothing.
+        the index) does. A gained pattern's initial values, the present
+        values in bag order that it matches, that the turn did not add and
+        that no P0 pattern matches, come first among the added values. So a
+        turn with an empty patch and no gained pattern routes nothing.
         """
         gained = [p for k, p in self.interests.get(actor, {}).items() if k not in before]
         if not (patch.added or patch.removed or gained):
@@ -353,17 +354,16 @@ class Dataspace:
             new = old = ()
             if aid == actor:
                 new, old = [p._test for p in gained], [p._test for p in before.values()]
-            init_added = tuple(
+            initial = tuple(
                 v
                 for v in self.bag
                 if any(t(v) for t in new)
                 and v not in patch.added
                 and not any(t(v) for t in old)
             )
-            if init_added:
-                out.append((aid, PatchEvent(init_added, ())))
-            if aid in told:
-                out.append((aid, PatchEvent(*map(tuple, told[aid]))))
+            added, removed = told.get(aid, ((), ()))
+            if initial or added or removed:
+                out.append((aid, PatchEvent(initial + tuple(added), tuple(removed))))
         return out
 
 

@@ -3,8 +3,8 @@ deterministic handler dispatch.
 
 A facet owns fields, published assertions, and event handlers. Facets form a
 tree that grows via ``react`` and shrinks via ``stop``. Assertions computed
-from fields are withdrawn and re-deposited automatically when those fields
-change. Boot bodies, handler bodies, and continuations all receive the
+from fields are withdrawn and re-deposited automatically, once per turn, when
+those fields change. Boot bodies, handler bodies, and continuations all receive the
 relevant :class:`Facet` as their first argument.
 """
 
@@ -157,8 +157,10 @@ class Facet:
 
     def _handler(self, kind, pattern, fn):
         """Add a handler endpoint; a pattern whose interest record the trace
-        could not hold raises ValueError (see check_value) here."""
+        could not hold raises ValueError (see check_value) here, and a fn
+        that is not callable TypeError."""
         self._require_alive()
+        _check_callable(fn)
         check_linear(pattern)
         ep = HandlerEndpoint(self, kind, pattern, fn)
         check_value(ep.current, MAX_TRACED_DEPTH)
@@ -189,14 +191,15 @@ class Facet:
 
     def on_start(self, fn: Callable):
         self._require_alive()
+        _check_callable(fn)
         if self.start_handlers is None:
-            self.actor._run_body(self, fn)
+            fn(self)
         else:
             self.start_handlers.append(fn)
 
     def on_stop(self, fn: Callable):
         self._require_alive()
-        self.stop_handlers.append(fn)
+        self.stop_handlers.append(_check_callable(fn))
 
     # -- structure and actions ----------------------------------------------
 
@@ -223,6 +226,14 @@ class Facet:
         return self.actor.ds.fresh_unique()
 
 
+def _check_callable(fn):
+    """fn, if it is callable: a handler is refused where it is installed,
+    not when its event arrives and the whole actor would crash."""
+    if not callable(fn):
+        raise TypeError("handler %r is not callable" % (fn,))
+    return fn
+
+
 class Actor:
     """Facet runtime for one actor; plugs into the dataspace scheduler."""
 
@@ -246,6 +257,7 @@ class Actor:
             self._dispatch(event)
         else:
             raise TypeError("unknown event: %r" % (event,))
+        self._refresh()
         return self.actions
 
     # -- install / dispatch / teardown --------------------------------------
@@ -259,17 +271,13 @@ class Actor:
         if root.alive and not (root.endpoints or root.children):
             self.stop_facet(root)
 
-    def _run_body(self, facet, body, args=()):
-        body(facet, *args)
-        self._refresh()
-
     def _install(self, facet, body, args):
-        self._run_body(facet, body, args)
+        body(facet, *args)
         handlers, facet.start_handlers = facet.start_handlers, None
         for h in handlers:
             if not facet.alive:
                 break
-            self._run_body(facet, h)
+            h(facet)
 
     def _dispatch(self, event):
         """Run the handler of each live endpoint whose pattern matches a
@@ -292,11 +300,11 @@ class Actor:
         invocations.sort(key=itemgetter(0, 1))
         for _order, _j, ep, bindings in invocations:
             if ep.facet.alive:
-                self._run_body(ep.facet, ep.fn, (bindings,))
+                ep.fn(ep.facet, bindings)
 
     def _refresh(self):
-        """Recompute dirty assertions in tree order, as dispatch runs
-        handlers; emit a retract/assert pair for each that changed."""
+        """Once a turn, after its bodies: recompute dirty assertions in tree
+        order, as dispatch runs handlers; a retract/assert pair for each that changed."""
         if not self._dirty:
             return
         dirty, self._dirty = self._dirty, set()
@@ -332,7 +340,7 @@ class Actor:
             for h in f.stop_handlers:
                 if not f.alive:  # torn down by a stop one of its handlers began
                     break
-                self._run_body(f, h)
+                h(f)
 
         def teardown(f):
             for c in f.children:
@@ -355,7 +363,7 @@ class Actor:
         if facet.parent is not None:
             facet.parent.children.remove(facet)
             if continuation is not None:
-                self._run_body(facet.parent, continuation)
+                continuation(facet.parent)
         elif continuation is None:
             self.actions.append(Quit())
         else:

@@ -7,6 +7,7 @@ are deeply immutable and hashable, so they can be shared freely.
 
 from __future__ import annotations
 
+import re
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from operator import attrgetter
@@ -498,11 +499,16 @@ _ATOM_FIELDS = {
     Boolean: ("b", bool),
     Unique: ("serial", int),
 }
+# An int of at most this many bits has fewer than 640 digits, the least
+# limit sys.set_int_max_str_digits accepts, so str() writes it whatever the
+# limit; only a longer one is tried.
+_PRINTABLE_BITS = 2048
 
 
 def check_value(v, limit: int = MAX_DEPTH) -> Value:
     """Return v if it is a well-formed value: each atom's field of its exact
-    type (see _ATOM_FIELDS) and no Decimal NaN, each record label a Symbol,
+    type (see _ATOM_FIELDS), no Decimal NaN and no Integer or Unique with
+    more digits than str() writes, each record label a Symbol,
     fields and items tuples of values, records and sequences nested at
     most `limit` deep (the text syntax reads MAX_DEPTH). Raise ValueError
     otherwise. The walk stops at the limit, so it cannot exhaust the stack.
@@ -525,6 +531,11 @@ def _check_nodes(v, room: int, limit: int) -> int:
             raise ValueError("%s.%s is %s, not %s" % (cls.__name__, name, type(x).__name__, typ.__name__))
         if x != x:
             raise ValueError("NaN is not a value: it equals nothing, so it could never be retracted")
+        if typ is int and x.bit_length() > _PRINTABLE_BITS:
+            try:
+                str(x)
+            except ValueError as e:
+                raise ValueError("%s.%s has no text: %s" % (cls.__name__, name, e)) from None
         return 0
     if cls is not Record and cls is not Sequence:
         raise ValueError("%s is not a value" % cls.__name__)
@@ -595,6 +606,10 @@ def _tokenize(text: str) -> Iterator[str]:
             i = j
 
 
+# what int() reads as an integer, whatever its length
+_INTEGER_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
 def _parse_atom(tok: str) -> Value:
     if tok.startswith('"'):
         return Text(tok[1:])
@@ -611,8 +626,9 @@ def _parse_atom(tok: str) -> Value:
             raise ParseError("bad unique literal: %s" % tok)
     try:
         return Integer(int(tok))
-    except ValueError:
-        pass
+    except ValueError as e:
+        if _INTEGER_LITERAL.fullmatch(tok):  # int() refuses it for its length
+            raise ParseError("%s: %.20s..." % (e, tok)) from None
     try:
         x = float(tok)
     except ValueError:

@@ -6,7 +6,7 @@ It states each rule of README's "Reference semantics" directly, with no
 index, cache or dependency tracking. `ModelDataspace` recomputes every
 actor's deliveries from the bag and the actor's patterns after each turn;
 `ModelActor` walks its whole live facet tree to find handlers, and again
-after every body to re-evaluate every published assertion. It shares no
+at the end of each turn to re-evaluate every published assertion. It shares no
 logic with `facetspace.dataspace` or `facetspace.facets`: it takes only
 their record classes and exceptions, and matches with `reference_match`."""
 
@@ -118,8 +118,10 @@ class ModelDataspace:
 
     def deliveries(self, added, removed, actor=None, old=None):
         """What each live actor, in ascending id, is told of a turn that
-        added and removed these values. `actor` acted, holding the interests
-        `old` as the turn began; every other actor's interests did not move."""
+        added and removed these values, in one patch whose added values
+        begin with what its gained patterns newly match in the bag. `actor`
+        acted, holding the interests `old` as the turn began; every other
+        actor's interests did not move."""
         out = []
         for aid in self.actors:
             new = self.interests(aid)
@@ -127,12 +129,10 @@ class ModelDataspace:
             gained = [p for v, p in new.items() if v not in before]
             initial = tuple(v for v in self.bag if v not in added and matched(gained, v)
                             and not matched(before.values(), v))
-            if initial:
-                out.append((aid, PatchEvent(initial, ())))
             plus = tuple(v for v in added if matched(new.values(), v))
             minus = tuple(v for v in removed if matched(new.values(), v) and matched(before.values(), v))
-            if plus or minus:
-                out.append((aid, PatchEvent(plus, minus)))
+            if initial or plus or minus:
+                out.append((aid, PatchEvent(initial + plus, minus)))
         return out
 
     def run_turn(self):
@@ -235,6 +235,7 @@ class ModelFacet:
 
     def _handler(self, kind, pattern, fn):
         self._live()
+        _callable(fn)
         names = capture_names(pattern)
         if len(names) != len(set(names)):
             raise ValueError("repeated capture in %r" % (pattern,))
@@ -252,14 +253,15 @@ class ModelFacet:
 
     def on_start(self, fn):
         self._live()
+        _callable(fn)
         if self.start_handlers is None:
-            self.actor.run_body(self, fn)
+            fn(self)
         else:
             self.start_handlers.append(fn)
 
     def on_stop(self, fn):
         self._live()
-        self.stop_handlers.append(fn)
+        self.stop_handlers.append(_callable(fn))
 
     def react(self, body, *args):
         self._live()
@@ -279,6 +281,12 @@ class ModelFacet:
 
     def unique(self):
         return self.actor.ds.fresh_unique()
+
+
+def _callable(fn):
+    if not callable(fn):
+        raise TypeError("handler %r is not callable" % (fn,))
+    return fn
 
 
 def _held_by_a_handler(endpoints, interest):
@@ -301,6 +309,9 @@ class ModelActor:
         self.actions = []
 
     def handle_event(self, event):
+        """Run the turn's bodies, then re-evaluate every published assertion
+        of the live tree, in facet pre-order, then endpoint order: a changed
+        one is retracted and asserted anew."""
         self.actions = []
         if isinstance(event, BootEvent):
             self.start_root(self.boot)
@@ -308,6 +319,11 @@ class ModelActor:
             self.dispatch(event)
         else:
             raise TypeError(event)
+        for ep in [ep for f in _tree(self.root) for ep in f.endpoints if ep.kind is None]:
+            new = to_value(ep.compute())
+            if new != ep.current:
+                self.actions += [Retract(ep.current), Assert(new)]
+                ep.current = new
         return self.actions
 
     def start_root(self, body):
@@ -318,23 +334,12 @@ class ModelActor:
             self.stop_facet(root)
 
     def install(self, facet, body, args):
-        self.run_body(facet, body, args)
+        body(facet, *args)
         handlers, facet.start_handlers = facet.start_handlers, None
         for h in handlers:
             if not facet.alive:
                 break
-            self.run_body(facet, h)
-
-    def run_body(self, facet, body, args=()):
-        """Run body, then re-evaluate every published assertion of the live
-        tree, in facet pre-order, then endpoint order: a changed one is
-        retracted and asserted anew."""
-        body(facet, *args)
-        for ep in [ep for f in _tree(self.root) for ep in f.endpoints if ep.kind is None]:
-            new = to_value(ep.compute())
-            if new != ep.current:
-                self.actions += [Retract(ep.current), Assert(new)]
-                ep.current = new
+            h(facet)
 
     def dispatch(self, event):
         """Every handler of the live tree whose pattern matches a value of
@@ -354,7 +359,7 @@ class ModelActor:
                         hits.append((ep, b))
         for ep, b in hits:
             if ep.facet.alive:
-                self.run_body(ep.facet, ep.fn, (b,))
+                ep.fn(ep.facet, b)
 
     def stop_facet(self, facet, continuation=None):
         """Run the subtree's stop handlers children first, then retract its
@@ -373,7 +378,7 @@ class ModelActor:
         if facet.parent is not None:
             facet.parent.children.remove(facet)
             if continuation is not None:
-                self.run_body(facet.parent, continuation)
+                continuation(facet.parent)
         elif continuation is None:
             self.actions.append(Quit())
         else:
@@ -388,7 +393,7 @@ class ModelActor:
         for h in f.stop_handlers:
             if not f.alive:
                 break
-            self.run_body(f, h)
+            h(f)
 
     def _teardown(self, f):
         for c in f.children:

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -103,9 +104,9 @@ def test_late_observer_gets_initial_patch_once():
 
 
 def test_initial_patch_precedes_regular_patch():
-    # an actor that asserts an interest and a matching-later value in one
-    # turn: another actor's simultaneous assertion shows up as the initial
-    # patch, delivered before any later regular patch
+    # a late observer hears a held value (initial, from the bag) before a
+    # value asserted in a later turn; one turn's own is
+    # test_an_actor_hears_one_patch_per_turn_its_initial_values_first
     ds = Dataspace()
     holder = Scripted([Assert(rec("cell", 1))])
     ds.spawn(holder)
@@ -115,6 +116,26 @@ def test_initial_patch_precedes_regular_patch():
     ds.run_until_quiescent()
     assert r.events[0] == ("+", rec("cell", 1))  # initial, from the bag
     assert r.events[1] == ("+", rec("cell", 2))
+
+
+def test_an_actor_hears_one_patch_per_turn_its_initial_values_first():
+    # in one turn an actor asserts an interest and a value it matches while
+    # another actor holds a second one: one patch, the held value (initial,
+    # from the bag) before the turn's own
+    def play(ds_class):
+        sink = io.StringIO()
+        ds = ds_class(trace_sink=sink)
+        ds.spawn(Scripted([Assert(rec("cell", 1))]))
+        ds.run_until_quiescent()
+        hearer = Scripted([Assert(observe(CELL)), Assert(rec("cell", 2))])
+        ds.spawn(hearer)
+        ds.run_until_quiescent()
+        return [render_event(e) for e in hearer.seen], sink.getvalue()
+
+    runtime = play(Dataspace)
+    assert runtime[0] == ["(boot)", "(patch (added (cell 1) (cell 2)) (removed))"]
+    with runtime_switched_off():
+        assert play(ModelDataspace) == runtime
 
 
 def test_message_broadcast_no_buffering():
@@ -210,6 +231,26 @@ def test_inject_message_refuses_a_value_the_trace_could_not_hold():
     ds.run_until_quiescent()
     events = [json.loads(line)["event"] for line in sink.getvalue().splitlines()[turns:]]
     assert [parse(e) for e in events] == [rec("message", deep_sequence(MAX_TRACED_DEPTH))]
+
+
+@pytest.mark.parametrize("wrap", [Integer, Unique, lambda n: n], ids=["Integer", "Unique", "host-int"])
+def test_inject_message_refuses_an_integer_with_more_digits_than_str_writes(wrap):
+    # queued, it would reach the trace writer in its delivery turn, whose
+    # str() raises out of run_turn after ds.trace took the record and
+    # before the sink got its line
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("str() writes every int")
+    sink = io.StringIO()
+    ds = Dataspace(trace_sink=sink)
+    spawn_recorder(ds, cap("x"), messages=True)
+    ds.run_until_quiescent()
+    with pytest.raises(ValueError, match="has no text"):
+        ds.inject_message(rec("n", wrap(10 ** limit)))
+    assert not ds.queue
+    ds.inject_message(rec("n", wrap(10 ** limit - 1)))  # limit digits: written
+    ds.run_until_quiescent()
+    assert len(sink.getvalue().splitlines()) == len(ds.trace) == 3
 
 
 def test_every_trace_line_of_the_deepest_accepted_value_parses():

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -14,7 +15,7 @@ from conftest import (
     runtime_switched_off,
     spawn_recorder,
 )
-from facetspace import WILDCARD, Dataspace, Integer, Record, Symbol, Text, cap, lit, rec, rpat, sym
+from facetspace import WILDCARD, Dataspace, Integer, Record, Symbol, Text, Unique, cap, lit, rec, rpat, sym
 from facetspace.dataspace import MAX_TRACED_DEPTH, Assert, Quit
 from facetspace.drivers import advance_virtual_time, spawn_timer_driver
 from facetspace.forms import during, on_timeout, state_machine, stop_when
@@ -135,6 +136,94 @@ def test_a_field_written_by_a_body_that_then_stops_its_facet_is_not_republished(
     assert runtime[:3] == (True, ["stopped"], [rec("root")])
     with runtime_switched_off():
         assert _play_go(ModelDataspace, boot, ran) == runtime
+
+
+def test_a_turn_republishes_a_computed_assertion_once():
+    # two handler bodies of one event each bump n: the turn retracts (n 0)
+    # and asserts (n 2), with no (n 1) that the same turn would cancel
+    ran = []
+
+    def boot(f):
+        n = f.field(0)
+        f.publish(lambda: rec("n", n()))
+        for _ in range(2):
+            f.on_message(rpat("go"), lambda hf, _b: (n(n() + 1), ran.append(n())))
+
+    runtime = _play_go(Dataspace, boot, ran)
+    assert runtime[:3] == (True, [1, 2], [message_interest(rpat("go")), rec("n", 2)])
+    assert json.loads(runtime[3].splitlines()[-1])["actions"] == ["(retract (n 0))", "(assert (n 2))"]
+    with runtime_switched_off():
+        assert _play_go(ModelDataspace, boot, ran) == runtime
+
+
+@pytest.mark.parametrize("bodies", ["one", "two"])
+def test_a_turn_that_writes_a_field_and_stops_its_facet_under_a_live_computed_assertion_crashes(bodies):
+    # the root publishes (n x) of a child's field x; (go) writes x and stops
+    # the child, in one body or in two. The assertion is re-evaluated once,
+    # after the turn's handlers, when x's facet is dead, however the turn's
+    # work is split into bodies
+    def boot(f):
+        x = f.react(lambda cf: None).field(0)
+        child = x.owner
+        f.publish(lambda: rec("n", x()))
+        if bodies == "one":
+            f.on_message(rpat("go"), lambda hf, _b: (x(1), child.stop()))
+        else:
+            f.on_message(rpat("go"), lambda hf, _b: x(1))
+            f.on_message(rpat("go"), lambda hf, _b: child.stop())
+
+    ran = []
+    runtime = _play_go(Dataspace, boot, ran)
+    assert runtime[0] is False and runtime[2] == []
+    assert [json.loads(line)["crashed"] for line in runtime[3].splitlines()] == [False, True]
+    with runtime_switched_off():
+        assert _play_go(ModelDataspace, boot, ran) == runtime
+
+
+@pytest.mark.parametrize(
+    "install",
+    [
+        lambda f: f.on_asserted(rpat("x"), None),
+        lambda f: f.on_retracted(rpat("x"), None),
+        lambda f: f.on_message(rpat("x"), "not a function"),
+        lambda f: f.on_start(None),
+        lambda f: f.on_stop(None),
+    ],
+    ids=["on_asserted", "on_retracted", "on_message", "on_start", "on_stop"],
+)
+def test_a_body_may_catch_the_refusal_of_a_handler_that_is_not_callable(install):
+    # refused where it is installed, not when its event arrives and the
+    # whole actor would crash
+    ran = []
+
+    def boot(f):
+        try:
+            install(f)
+        except TypeError as e:
+            ran.append("not callable" in str(e))
+        f.on_message(rpat("go"), lambda hf, _b: ran.append("went"))
+
+    runtime = _play_go(Dataspace, boot, ran)
+    assert runtime[:3] == (True, [True, "went"], [message_interest(rpat("go"))])
+    with runtime_switched_off():
+        assert _play_go(ModelDataspace, boot, ran) == runtime
+
+
+@pytest.mark.parametrize("wrap", [Integer, Unique], ids=["Integer", "Unique"])
+def test_a_body_may_catch_the_refusal_of_an_integer_with_more_digits_than_str_writes(wrap):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("str() writes every int")
+    ran = []
+
+    def boot(f):
+        try:
+            f.publish(rec("n", wrap(10 ** limit)))
+        except ValueError as e:
+            ran.append("has no text" in str(e))
+        f.on_message(rpat("go"), lambda hf, _b: ran.append("went"))
+
+    assert _play_go(Dataspace, boot, ran)[:3] == (True, [True, "went"], [message_interest(rpat("go"))])
 
 
 def test_stop_actor_from_handler_runs_stop_handlers():
@@ -915,16 +1004,18 @@ def test_bank_account_example():
 # order. The watches hold their constant in the first field, in the second,
 # or hold no hole; a catch-all endpoint hears every message, a pair's one
 # handler writes two fields in the reverse of their assertions' tree order,
-# a timeout installs its body once the virtual clock has advanced past its
-# delay, and a stop-self or stop-parent adds a stop handler that stops its
-# own facet, whose stop is then running, or that facet's parent.
+# a tally's one handler counts in a field each item it hears asserted, so a
+# patch of two items runs it twice, a timeout installs its body once the
+# virtual clock has advanced past its delay, and a stop-self or stop-parent
+# adds a stop handler that stops its own facet, whose stop is then running,
+# or that facet's parent.
 _key = st.integers(0, 1)
 _WATCHES = {
     "watch": lambda k: rpat("item", lit(k), cap("x")),
     "watch-last": lambda k: rpat("item", cap("x"), lit(k)),
     "watch-item": lambda k: lit(rec("item", k, 0)),
 }
-_leaf = st.tuples(st.sampled_from(["publish", *_WATCHES, "any", "pair", "stop-self", "stop-parent"]), _key)
+_leaf = st.tuples(st.sampled_from(["publish", *_WATCHES, "any", "pair", "tally", "stop-self", "stop-parent"]), _key)
 
 
 def _op(body):
@@ -1003,6 +1094,10 @@ def _run(f, body, ears):
             f.publish(lambda k=k, x=x: rec("first", k, x()))
             f.react(lambda cf, k=k, y=y: cf.publish(lambda: rec("second", k, y())))
             f.on_message(_hit(k), lambda hf, _b, x=x, y=y: (y(y() + 1), x(x() + 1)))
+        elif kind == "tally":
+            x, k = f.field(0), op[1]
+            f.publish(lambda k=k, x=x: rec("tally", k, x()))
+            f.on_asserted(rpat("item", lit(k), cap("x")), lambda hf, _b, x=x: x(x() + 1))
         elif kind == "stop-self":
             _stop_from_stop_handler(f, f, op[1])
         elif kind == "stop-parent":
@@ -1083,10 +1178,13 @@ def _play_program(ds_class, program, inputs, after_turn=lambda ds, ears: None):
 # same interest again, held once: the hit restarts the state, whose teardown
 # retracts that interest once, at its first endpoint's place
 @example([("machine", 0, [[("publish", 0), ("publish", 0)]])], [rec("hit", 0, 1)])
+# one patch of two items runs the tally's handler twice, each body bumping
+# its field: the turn re-publishes (tally 0 x) once, 0 -> 2
+@example([("tally", 0)], [[("do-assert", rec("item", 0, 0)), ("do-assert", rec("item", 0, 1))]])
 def test_dispatch_matches_a_match_on_every_endpoint(program, inputs):
     """The model finds handlers by matching every endpoint of the tree and
-    re-evaluates every assertion after every body; the runtime must write
-    the same trace."""
+    re-evaluates every assertion once, at the end of each turn; the runtime
+    must write the same trace."""
     runtime = _play_program(Dataspace, program, inputs)
     with runtime_switched_off():
         assert runtime == _play_program(ModelDataspace, program, inputs)

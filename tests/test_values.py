@@ -137,6 +137,18 @@ def test_parse_errors():
             parse(bad)
 
 
+def test_parse_refuses_an_integer_with_more_digits_than_int_reads():
+    # int() refused it, and float() read it as Decimal(inf)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() reads every digit string")
+    for bad in ["1" * (limit + 1), "-" + "9" * (limit + 1), "(n %s)" % ("1" * (limit + 1))]:
+        with pytest.raises(ParseError, match="Exceeds the limit"):
+            parse(bad)
+    assert parse("9" * limit) == Integer(10 ** limit - 1)
+    assert parse("1" * (limit + 1) + "x") == Symbol("1" * (limit + 1) + "x")  # no integer: a symbol
+
+
 def test_parse_accepts_nesting_up_to_the_bound():
     for text in [nested(100), nested(50, "[(a ", ")]")]:
         v = parse(text)
