@@ -338,7 +338,9 @@ class Dataspace:
         the index) does. A gained pattern's initial values, the present
         values in bag order that it matches, that the turn did not add and
         that no P0 pattern matches, come first among the added values. So a
-        turn with an empty patch and no gained pattern routes nothing.
+        turn with an empty patch and no gained pattern routes nothing, and
+        an actor that holds no pattern (one not yet booted, or one that only
+        publishes) is told nothing and is skipped without a bag scan.
         """
         gained = [p for k, p in self.interests.get(actor, {}).items() if k not in before]
         if not (patch.added or patch.removed or gained):
@@ -350,7 +352,9 @@ class Dataspace:
                     if not (i and aid == actor) or any(p._test(v) for p in before.values()):
                         told.setdefault(aid, ([], []))[i].append(v)
         out = []
-        for aid in self.interests:
+        for aid, table in self.interests.items():
+            if not table:
+                continue
             new = old = ()
             if aid == actor:
                 new, old = [p._test for p in gained], [p._test for p in before.values()]

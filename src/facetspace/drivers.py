@@ -26,6 +26,10 @@ class WallClockMode(RuntimeError):
     pass
 
 
+class NoTimerDriver(RuntimeError):
+    pass
+
+
 class Clock:
     def __init__(self, mode: str = "virtual"):
         if mode not in ("virtual", "wall"):
@@ -93,14 +97,22 @@ def spawn_timer_driver(ds, clock: Clock = None) -> int:
     return ds.spawn(timer_driver_boot(clock, registry))
 
 
+def _clock(ds, mode: str) -> Clock:
+    """ds's clock: NoTimerDriver if ds has none, WallClockMode if it is not of this mode."""
+    if ds.clock is None:
+        raise NoTimerDriver("no timer driver is installed: call spawn_timer_driver(ds) first")
+    if ds.clock.mode != mode:
+        raise WallClockMode("the timer driver's clock is %s, not %s" % (ds.clock.mode, mode))
+    return ds.clock
+
+
 def advance_virtual_time(ds, delta_ms: int):
     """Advance virtual time, firing due timers as ordinary turns in deadline
-    order; returns once quiescent at the new time. Raises TypeError for a
-    delta_ms that is not an int, and RuntimeError if a timer is still
-    registered after the tick that was due to fire it (the driver is gone)."""
-    clock = ds.clock
-    if clock is None or clock.mode != "virtual":
-        raise WallClockMode("virtual-time advancement needs a virtual clock")
+    order; returns once quiescent at the new time. Raises NoTimerDriver or
+    WallClockMode unless ds has a virtual clock, TypeError for a delta_ms
+    that is not an int, and RuntimeError if a timer is still registered
+    after the tick that was due to fire it (the driver is gone)."""
+    clock = _clock(ds, "virtual")
     if isinstance(delta_ms, bool) or not isinstance(delta_ms, int):
         raise TypeError("delta_ms must be an int, got %r" % (delta_ms,))
     if delta_ms < 0:
@@ -122,7 +134,5 @@ def advance_virtual_time(ds, delta_ms: int):
 
 def fire_due_wall_timers(ds):
     """Wall-mode pump: fire timers due at the current wall time."""
-    if ds.clock is None or ds.clock.mode != "wall":
-        raise WallClockMode("not in wall mode")
-    ds.inject_message(rec("clock-tick", ds.clock.now))
+    ds.inject_message(rec("clock-tick", _clock(ds, "wall").now))
     ds.run_until_quiescent()

@@ -1,9 +1,10 @@
 """Shared test helpers: externally driven puppet actors, event recorders,
 an interpretive pattern matcher to check the runtime's against, a switch
-that keeps the reference model off the runtime, and the counting harness of
-the complexity contracts."""
+that keeps the reference model off the runtime, a seeded interleaving of
+the turn queue, and the counting harness of the complexity contracts."""
 
 import os
+import random
 from contextlib import contextmanager
 
 from hypothesis import settings
@@ -19,7 +20,7 @@ from facetspace import (
     rpat,
     sym,
 )
-from facetspace.dataspace import Assert, BootEvent, MessageEvent, PatchEvent
+from facetspace.dataspace import Assert, BootEvent, MaxTurnsExceeded, MessageEvent, PatchEvent
 from facetspace.facets import Actor
 from facetspace.values import PatternIndex, observe
 
@@ -171,6 +172,31 @@ def runtime_switched_off():
     finally:
         for (cls, name), method in zip(seams, saved):
             setattr(cls, name, method)
+
+
+def run_in_seeded_order(ds: Dataspace, seed):
+    """Install on ds a run_until_quiescent that, before each turn, moves the
+    oldest queued event of an actor picked by a seeded RNG, among those
+    with one, to the head of the queue. Each actor's own events keep their
+    order; only the interleaving across actors changes, and one seed names
+    one interleaving. advance_virtual_time runs its turns through it too."""
+    rng = random.Random(seed)
+
+    def run_until_quiescent(max_turns=100000):
+        start = len(ds.trace)
+        while ds.queue:
+            if len(ds.trace) - start >= max_turns:
+                raise MaxTurnsExceeded("no quiescence after %d turns" % max_turns)
+            oldest = {}  # actor id -> place of its oldest queued event
+            for i, (aid, _event) in enumerate(ds.queue):
+                oldest.setdefault(aid, i)
+            i = oldest[rng.choice(list(oldest))]
+            ds.queue.appendleft(ds.queue[i])
+            del ds.queue[i + 1]
+            ds.run_turn()
+        return ds.trace[start:]
+
+    ds.run_until_quiescent = run_until_quiescent
 
 
 def named_puppet_boot(name: str):

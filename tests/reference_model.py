@@ -3,12 +3,14 @@ differential tests: the model and the runtime must write byte-identical
 JSONL traces on the same inputs.
 
 It states each rule of README's "Reference semantics" directly, with no
-index, cache or dependency tracking. `ModelDataspace` recomputes every
-actor's deliveries from the bag and the actor's patterns after each turn;
-`ModelActor` walks its whole live facet tree to find handlers, and again
-at the end of each turn to re-evaluate every published assertion. It shares no
-logic with `facetspace.dataspace` or `facetspace.facets`: it takes only
-their record classes and exceptions, and matches with `reference_match`."""
+index, cache or table of a field's dependents. `ModelDataspace` recomputes
+every actor's deliveries from the bag and the actor's patterns after each
+turn; `ModelActor` walks its whole live facet tree to find handlers, again
+at each field write to mark stale the published assertions whose last
+evaluation read the field, and again at the end of each turn to re-evaluate
+the stale ones. It shares no logic with `facetspace.dataspace` or
+`facetspace.facets`: it takes only their record classes and exceptions, and
+matches with `reference_match`."""
 
 from collections import deque
 from functools import partialmethod
@@ -193,11 +195,20 @@ class ModelField:
         self.owner, self.value = owner, value
 
     def __call__(self, *args):
+        """Read, noting the read on the assertion being evaluated, if any;
+        or write, marking stale each live published assertion whose last
+        evaluation read this field."""
         if not self.owner.alive:
             raise DeadFieldAccess("field of a dead facet")
+        actor = self.owner.actor
         if not args:
+            if actor.evaluating is not None:
+                actor.evaluating.reads.append(self)
             return self.value
         (self.value,) = args
+        for ep in _published(actor.root):
+            if self in ep.reads:
+                ep.stale = True
 
 
 class Endpoint:
@@ -227,8 +238,8 @@ class ModelFacet:
 
     def publish(self, spec):
         self._live()
-        compute = spec if callable(spec) else lambda: spec
-        ep = Endpoint(facet=self, kind=None, current=to_value(compute()), compute=compute)
+        ep = Endpoint(facet=self, kind=None, compute=spec if callable(spec) else lambda: spec)
+        ep.current = self.actor.evaluate(ep)
         self.endpoints.append(ep)
         self.actor.actions.append(Assert(ep.current))
         return ep
@@ -302,16 +313,31 @@ def _tree(f):
         yield from _tree(c)
 
 
+def _published(root):
+    """The published assertions of the tree, in facet pre-order, then endpoint order."""
+    return [ep for f in _tree(root) for ep in f.endpoints if ep.kind is None]
+
+
 class ModelActor:
     def __init__(self, ds, boot):
         self.ds, self.boot = ds, boot
         self.root = None
         self.actions = []
+        self.evaluating = None  # the published assertion whose compute runs
+
+    def evaluate(self, ep):
+        """ep's value now, noting the fields its compute reads as ep.reads."""
+        ep.reads, ep.stale = [], False
+        outer, self.evaluating = self.evaluating, ep
+        try:
+            return to_value(ep.compute())
+        finally:
+            self.evaluating = outer
 
     def handle_event(self, event):
-        """Run the turn's bodies, then re-evaluate every published assertion
-        of the live tree, in facet pre-order, then endpoint order: a changed
-        one is retracted and asserted anew."""
+        """Run the turn's bodies, then re-evaluate each published assertion
+        of the live tree that a field write left stale, in facet pre-order,
+        then endpoint order: a changed one is retracted and asserted anew."""
         self.actions = []
         if isinstance(event, BootEvent):
             self.start_root(self.boot)
@@ -319,8 +345,8 @@ class ModelActor:
             self.dispatch(event)
         else:
             raise TypeError(event)
-        for ep in [ep for f in _tree(self.root) for ep in f.endpoints if ep.kind is None]:
-            new = to_value(ep.compute())
+        for ep in [ep for ep in _published(self.root) if ep.stale]:
+            new = self.evaluate(ep)
             if new != ep.current:
                 self.actions += [Retract(ep.current), Assert(new)]
                 ep.current = new

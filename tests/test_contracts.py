@@ -5,8 +5,10 @@ the two counts, never a count against a tuned constant (a contract that
 nothing is visited compares both with 0).
 
 Setting up MANY bystander actors costs seconds: every boot turn runs the
-initial-patch scan over every actor and the whole bag (ROADMAP item 1). So
-the bag and broadcast contracts share one set-up per size, `_visits`."""
+initial-patch scan over the whole bag once for each bystander that has
+booted (ROADMAP item 1). One that has not booted holds no interest and is
+skipped, as the boot-turn contract checks. So the bag and broadcast
+contracts share one set-up per size, `_visits`."""
 
 import functools
 
@@ -107,6 +109,21 @@ class Listener:
 
 
 HEARERS = 5
+
+
+def _boot_visits(n):
+    """Bag entries visited by the boot turn of a Quitter spawned before n
+    bystanders that have not booted yet."""
+    ds = Dataspace()
+    ds.spawn(Quitter())
+    spawn_bystanders(ds, n)
+    bag = count_bag_visits(ds)
+    ds.run_turn()
+    return bag.visits
+
+
+def test_a_boot_turn_skips_the_actors_that_have_not_booted():
+    assert _boot_visits(MANY) == _boot_visits(FEW)
 
 
 @functools.cache

@@ -4,6 +4,7 @@ from conftest import drive_cmd, named_puppet_boot, spawn_recorder
 from facetspace import Dataspace, cap, lit, rec, rpat
 from facetspace.drivers import (
     Clock,
+    NoTimerDriver,
     NotQuiescent,
     WallClockMode,
     advance_virtual_time,
@@ -144,6 +145,16 @@ def test_advance_requires_quiescence_and_virtual_mode():
         advance_virtual_time(ds2, 10)
     with pytest.raises(WallClockMode):
         fire_due_wall_timers(ds)  # ds is virtual
+
+
+@pytest.mark.parametrize("pump", [lambda ds: advance_virtual_time(ds, 10), fire_due_wall_timers],
+                         ids=["advance_virtual_time", "fire_due_wall_timers"])
+def test_a_dataspace_with_no_timer_driver_is_told_to_spawn_one(pump):
+    # it has no clock at all, of either mode
+    ds = Dataspace()
+    with pytest.raises(NoTimerDriver, match="spawn_timer_driver"):
+        pump(ds)
+    assert ds.trace == [] and not ds.pending()
 
 
 def test_advance_refuses_to_move_time_backwards():

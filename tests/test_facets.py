@@ -1098,6 +1098,13 @@ def _run(f, body, ears):
             x, k = f.field(0), op[1]
             f.publish(lambda k=k, x=x: rec("tally", k, x()))
             f.on_asserted(rpat("item", lit(k), cap("x")), lambda hf, _b, x=x: x(x() + 1))
+        elif kind == "outer":
+            # (outer k x) here, of a field x of a child that (hit k s) stops,
+            # writing nothing: the assertion outlives its field's facet, so
+            # only an @example builds it (_check_dataflow evaluates it anew)
+            k = op[1]
+            x = f.react(lambda cf, k=k: cf.on_message(_hit(k), lambda hf, _b: hf.stop())).field(0)
+            f.publish(lambda k=k, x=x: rec("outer", k, x()))
         elif kind == "stop-self":
             _stop_from_stop_handler(f, f, op[1])
         elif kind == "stop-parent":
@@ -1181,10 +1188,15 @@ def _play_program(ds_class, program, inputs, after_turn=lambda ds, ears: None):
 # one patch of two items runs the tally's handler twice, each body bumping
 # its field: the turn re-publishes (tally 0 x) once, 0 -> 2
 @example([("tally", 0)], [[("do-assert", rec("item", 0, 0)), ("do-assert", rec("item", 0, 1))]])
+# the first hit stops the child whose field (outer 0 x) reads and writes
+# no field, so nothing is re-evaluated and the actor lives; the second
+# re-evaluates only (out 1 x), whose field it writes
+@example([("outer", 0), ("publish", 1)], [rec("hit", 0, 0), rec("hit", 1, 0)])
 def test_dispatch_matches_a_match_on_every_endpoint(program, inputs):
-    """The model finds handlers by matching every endpoint of the tree and
-    re-evaluates every assertion once, at the end of each turn; the runtime
-    must write the same trace."""
+    """The model finds handlers by matching every endpoint of the tree and,
+    at the end of each turn, re-evaluates once each assertion that read a
+    field written since its last evaluation; the runtime must write the
+    same trace."""
     runtime = _play_program(Dataspace, program, inputs)
     with runtime_switched_off():
         assert runtime == _play_program(ModelDataspace, program, inputs)
