@@ -221,17 +221,16 @@ class Dataspace:
         except Exception:
             log.warning("actor %d crashed handling %s", aid, render_event(event), exc_info=True)
             crashed = True
-            actions = []  # a crash is a turn with no actions that ends the actor
+            actions = []  # the trace records none; the turn applies a Quit
 
         before = dict(self.interests[aid])
-        patch, messages, spawns, quit_requested = self._apply(aid, actions)
+        patch, messages, spawns, ends = self._apply(aid, [Quit()] if crashed else actions)
         self.queue.extend(self._patch_deliveries(patch, aid, before) + messages)
         for a in spawns:  # children boot after the turn's deliveries, in action order
             a.child = self.spawn(a.boot)
-        if crashed or quit_requested:
-            # _terminate drops the actor's queued events and rebinds the queue
-            final = self._patch_deliveries(self._terminate(aid))
-            self.queue.extend(final)
+        if ends:  # forget the actor, and drop the events queued for it
+            del self.actors[aid], self.interests[aid]
+            self.queue = deque((a, e) for a, e in self.queue if a != aid)
 
         record = TurnRecord(len(self.trace), aid, event, actions, crashed)
         self.trace.append(record)
@@ -287,7 +286,7 @@ class Dataspace:
         was_present: dict = {}
         messages = []
         spawns = []
-        quit_requested = False
+        ends = False
         for a in actions:
             if isinstance(a, Assert):
                 self._bump(aid, a.v, 1, was_present)
@@ -298,10 +297,17 @@ class Dataspace:
             elif isinstance(a, Spawn):
                 spawns.append(a)
             else:
-                quit_requested = True
+                ends = True
+        if ends:  # then every copy still held goes, in bag order, in this patch
+            for v in self._held(aid):
+                self._bump(aid, v, -1, was_present)
         added = tuple(v for v, was in was_present.items() if not was and v in self.bag)
         removed = tuple(v for v, was in was_present.items() if was and v not in self.bag)
-        return PatchEvent(added, removed), messages, spawns, quit_requested
+        return PatchEvent(added, removed), messages, spawns, ends
+
+    def _held(self, aid) -> list:
+        """Each copy the actor holds, in bag order."""
+        return [v for v, per in self.bag.items() for _ in range(per.get(aid, 0))]
 
     def _message_deliveries(self, v):
         return [(aid, MessageEvent(v)) for aid in sorted(self._interested(Record(MESSAGE, (v,))))]
@@ -315,17 +321,9 @@ class Dataspace:
                 out.add(aid)
         return out
 
-    def _terminate(self, aid) -> PatchEvent:
-        """Retract each copy the actor holds, in bag order, then forget it."""
-        held = [Retract(v) for v, per in self.bag.items() for _ in range(per.get(aid, 0))]
-        patch = self._apply(aid, held)[0]
-        del self.actors[aid], self.interests[aid]
-        self.queue = deque((a, e) for a, e in self.queue if a != aid)
-        return patch
-
     # -- routing ------------------------------------------------------------
 
-    def _patch_deliveries(self, patch: PatchEvent, actor=None, before=()) -> list:
+    def _patch_deliveries(self, patch: PatchEvent, actor, before) -> list:
         """At most one patch event per actor, in ascending id, for one turn's
         global patch.
 
@@ -339,10 +337,11 @@ class Dataspace:
         values in bag order that it matches, that the turn did not add and
         that no P0 pattern matches, come first among the added values. So a
         turn with an empty patch and no gained pattern routes nothing, and
-        an actor that holds no pattern (one not yet booted, or one that only
-        publishes) is told nothing and is skipped without a bag scan.
+        an actor that holds no pattern (one not yet booted, one that only
+        publishes, or one this turn ends) is told nothing and is skipped
+        without a bag scan.
         """
-        gained = [p for k, p in self.interests.get(actor, {}).items() if k not in before]
+        gained = [p for k, p in self.interests[actor].items() if k not in before]
         if not (patch.added or patch.removed or gained):
             return []
         told = {}  # actor id -> (added, removed), each in patch order

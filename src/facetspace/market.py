@@ -350,6 +350,23 @@ class BuyerHandle:
     outcomes: dict = field(default_factory=dict)  # order ref -> answer name
 
 
+# Each field of a buyer command and the kind the script step of the same
+# name requires of it (see _FIELD_KINDS).
+_PLACE_FIELDS = (("ref", "name"), ("n", "count"), ("maxp", "price"))
+_CANCEL_FIELDS = (("ref", "name"),)
+
+
+def _well_formed(buyer, command, b, fields) -> bool:
+    """Whether each binding in b is of its kind; if not, warns naming the
+    buyer and the first field that is not, and the command is ignored."""
+    for key, kind in fields:
+        what, ok, _keep = _FIELD_KINDS[kind]
+        if not ok(b[key]):
+            log.warning("buyer %s: %s ignored: %s must be %s, got %s", buyer, command, key, what, render(b[key]))
+            return False
+    return True
+
+
 def scripted_buyer_boot(handle: BuyerHandle, extended: bool = False, wait_period: int = 100):
     """Places and cancels orders on message commands; confirms receipt of a
     result by dropping its interest in the order-result."""
@@ -379,6 +396,8 @@ def scripted_buyer_boot(handle: BuyerHandle, extended: bool = False, wait_period
             ctx.react(await_body)
 
         def place(hf, b):
+            if not _well_formed(handle.name, "place-order", b, _PLACE_FIELDS):
+                return
             ref = b["ref"].name
             if extended:
 
@@ -403,6 +422,8 @@ def scripted_buyer_boot(handle: BuyerHandle, extended: bool = False, wait_period
                 make_order(hf, ref, b["n"], b["maxp"])
 
         def cancel(hf, b):
+            if not _well_formed(handle.name, "cancel-order", b, _CANCEL_FIELDS):
+                return
             ref = b["ref"].name
             fct = order_facets.get(ref)
             if fct is None or not fct.alive:

@@ -118,7 +118,7 @@ class ModelDataspace:
         else:
             del self.bag[v]
 
-    def deliveries(self, added, removed, actor=None, old=None):
+    def deliveries(self, added, removed, actor, old):
         """What each live actor, in ascending id, is told of a turn that
         added and removed these values, in one patch whose added values
         begin with what its gained patterns newly match in the bag. `actor`
@@ -138,6 +138,10 @@ class ModelDataspace:
         return out
 
     def run_turn(self):
+        """One event, one batch, one patch. A crash records no actions and
+        applies a Quit. A batch holding a Quit ends its actor: after its own
+        actions it retracts every copy the actor holds, in bag order, within
+        the same patch; then the actor and its queued events are forgotten."""
         if not self.queue:
             raise RuntimeError("run_turn on a quiescent dataspace")
         aid, event = self.queue.popleft()
@@ -151,35 +155,32 @@ class ModelDataspace:
                     raise TypeError(a)
         except Exception:
             crashed, actions = True, []
+        applied = [Quit()] if crashed else actions
         present, old, messages = set(self.bag), self.interests(aid), []
-        for a in actions:
+        for a in applied:
             if isinstance(a, (Assert, Retract)):
                 self.count(aid, a.v, 1 if isinstance(a, Assert) else -1)
             elif isinstance(a, Message):
                 messages += self.hearers(a.v)  # routed when emitted
-        touched = list(dict.fromkeys(a.v for a in actions if isinstance(a, (Assert, Retract))))
+        ends = any(isinstance(a, Quit) for a in applied)
+        held = [v for v, per in self.bag.items() if aid in per] if ends else []
+        for v in held:
+            self.count(aid, v, -self.bag[v][aid])
+        touched = list(dict.fromkeys([a.v for a in applied if isinstance(a, (Assert, Retract))] + held))
         added = [v for v in touched if v in self.bag and v not in present]
         removed = [v for v in touched if v not in self.bag and v in present]
         self.queue.extend(self.deliveries(added, removed, aid, old) + messages)
-        for a in actions:
+        for a in applied:
             if isinstance(a, Spawn):
                 a.child = self.spawn(a.boot)
-        if crashed or any(isinstance(a, Quit) for a in actions):
-            self.terminate(aid)
+        if ends:
+            del self.actors[aid]
+            self.queue = deque(e for e in self.queue if e[0] != aid)
         record = TurnRecord(len(self.trace), aid, event, actions, crashed)
         self.trace.append(record)
         if self.trace_sink is not None:
             self.trace_sink.write(record.to_json() + "\n")
         return record
-
-    def terminate(self, aid):
-        """Retract every copy aid holds, in bag order, and forget it."""
-        held = [v for v, per in self.bag.items() if aid in per]
-        for v in held:
-            self.count(aid, v, -self.bag[v][aid])
-        del self.actors[aid]
-        self.queue = deque(e for e in self.queue if e[0] != aid)
-        self.queue.extend(self.deliveries([], [v for v in held if v not in self.bag]))
 
     def run_until_quiescent(self, max_turns=100000):
         start = len(self.trace)

@@ -130,9 +130,10 @@ def test_a_boot_turn_skips_the_actors_that_have_not_booted():
 def _visits(n):
     """Bag entries visited beside n bystanders, in this order: by the
     Quitter's spawn up to quiescence, by the steady-state turn in which it
-    asserts (cell 3), by a `query` for cells, and by `_terminate` when it
-    quits. Only `_terminate` is counted at the quit: the initial-patch scan
-    of the quit turn's routing is item 1's and item 16's to bound. Then the
+    asserts (cell 3), by a `query` for cells, and by `_held` when it quits.
+    Only `_held`, the walk for the copies it holds, is counted at the quit:
+    the initial-patch scan of the quit turn's routing is item 1's and item
+    16's to bound. Then the
     routing candidates tested for one (said 1) message that HEARERS
     listeners hear. One set-up per n serves every contract below."""
     ds = Dataspace()
@@ -154,7 +155,7 @@ def _visits(n):
     ds.run_until_quiescent()
     cells = counted("query", ds.query, rpat("cell", cap("k")))
     assert len(cells) == 3
-    ds._terminate = functools.partial(counted, "termination", ds._terminate)
+    ds._held = functools.partial(counted, "termination", ds._held)
     ds.inject_message(rec("leave"))
     ds.run_until_quiescent()
     assert ds.query(rpat("cell", cap("k"))) == []
@@ -193,7 +194,7 @@ def test_a_query_visits_in_proportion_to_its_matches():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 3: _terminate scans the whole bag until each actor keeps an owned-assertion set",
+    reason="ROADMAP item 3: _held scans the whole bag until each actor keeps an owned-assertion set",
 )
 def test_termination_visits_the_copies_the_actor_held_not_the_bag():
     assert _visits(MANY)["termination"] == _visits(FEW)["termination"]

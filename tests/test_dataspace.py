@@ -356,12 +356,21 @@ def test_retract_unheld_warns_and_is_ignored(caplog):
 
 
 def test_quit_emits_removal_patch():
+    # a quit is part of its turn's one patch: a value asserted within the
+    # ending turn is never heard, like any churn inside one turn, while the
+    # copies held from earlier turns leave in one removal patch, in bag order
     ds = Dataspace()
     r = spawn_recorder(ds, CELL)
     aid = ds.spawn(Scripted([Assert(observe(CELL)), Assert(rec("cell", 5)), Quit()]))
     ds.run_until_quiescent()
     assert_forgotten(ds, aid)
-    assert r.events == [("+", rec("cell", 5)), ("-", rec("cell", 5))]
+    assert r.patches == []
+    (h,), _ = spawn_poked(ds, "h")
+    poke(ds, h, Assert(rec("cell", 2)), Assert(rec("cell", 1)))
+    poke(ds, h, Assert(rec("cell", 3)), Quit())
+    assert_forgotten(ds, h.aid)
+    held = (rec("cell", 2), rec("cell", 1))
+    assert r.patches == [PatchEvent(held, ()), PatchEvent((), held)]
 
 
 def test_bag_holds_only_present_values():
@@ -822,8 +831,10 @@ def test_an_interest_held_twice_lasts_until_its_last_copy_goes():
 
 
 def test_quitting_actor_leaves_no_queue_entry():
-    # it observes its own assertion and message, so the turn routes both to
-    # it before it goes; neither may stay queued
+    # it hears its own message, so the turn queues the message to it before
+    # it goes, and that entry may not stay queued; it is told nothing of its
+    # own assertion, and neither is the recorder: the ending turn's one patch
+    # holds no value that the turn asserted
     ds = Dataspace()
     r = spawn_recorder(ds, CELL)
     ds.run_until_quiescent()
@@ -842,7 +853,7 @@ def test_quitting_actor_leaves_no_queue_entry():
     assert all(a != aid for a, _ in ds.queue)
     ds.run_until_quiescent()
     assert len(quitter.seen) == 1
-    assert r.events == [("+", rec("cell", 5)), ("-", rec("cell", 5))]
+    assert r.events == []
 
 
 @pytest.mark.parametrize("ending", ["retract", "quit", "crash"])
@@ -994,6 +1005,11 @@ def _play(ds_class, schedule, checked=False):
 # p0 observes everything, so p1's exit routes p0 the removal of p1's interest
 # in its pokes: a removal routed to an actor other than the one that acted
 @example([(0, [Assert(observe(cap("any")))]), (1, [Quit()])])
+# an ending is part of its turn's one patch: p0 never hears of the (cell 1)
+# that p1 asserts in the batch that quits, and hears the values p1 held when
+# it crashed leave in one removal patch
+@example([(0, [Assert(observe(cap("any")))]), (1, [Assert(rec("cell", 1)), Quit()])])
+@example([(0, [Assert(observe(cap("any")))]), (1, [Assert(rec("cell", 1)), Assert(observe(CELL))]), (1, [CRASH])])
 def test_routing_matches_the_reference_model(schedule):
     runtime = _play(Dataspace, schedule, checked=True)
     with runtime_switched_off():

@@ -469,3 +469,26 @@ def test_cancel_while_choosing_a_broker_ends_the_order(caplog):
     assert r.ds.query(rpat("order", cap("k"), cap("id"), cap("acct"), cap("n"), cap("maxp"))) == []
     assert len(r.ds.timer_registry) == 1  # the clock's next day flip only
     assert "cancel of unknown" not in caplog.text
+
+
+def test_buyer_ignores_a_malformed_command(caplog):
+    # a command whose ref, count or max price is not of the kind the script
+    # step of the same name requires is logged and ignored, as the timer
+    # driver ignores a bad tick: the buyer stays up and a good order resolves
+    r = build_scenario(default_config("simple"))
+    ds = r.ds
+    quiesce(ds)
+    mark = len(ds.trace)
+    for bad in (rec("place-order", sym("b1"), "o1", 5, 50), rec("place-order", sym("b1"), sym("o1"), "5", 50),
+                rec("cancel-order", sym("b1"), "o0")):
+        ds.inject_message(bad)
+        quiesce(ds)
+    assert not any(t.crashed for t in ds.trace[mark:])
+    assert [m for m in caplog.messages if m.startswith("buyer b1:")] == [
+        'buyer b1: place-order ignored: ref must be a symbol, got "o1"',
+        'buyer b1: place-order ignored: n must be a positive integer, got "5"',
+        'buyer b1: cancel-order ignored: ref must be a symbol, got "o0"',
+    ]
+    ds.inject_message(rec("place-order", sym("b1"), sym("o1"), 5, 50))
+    quiesce(ds)
+    assert r.buyers["b1"].outcomes == {"o1": "fulfilled"}
